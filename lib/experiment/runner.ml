@@ -794,32 +794,38 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
       p_request_injection = request_injection;
     }
   in
-  (match prepare with Some f -> f psim | None -> ());
-  Pdes.run pdes ~until;
+  (* As on the classic path, the sink files are closed even when
+     [prepare] or an event raises; the shard traces are then left
+     unmerged. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter close_out trace_ocs;
+      Option.iter (fun (c, _, _) -> Obs.Telemetry.close c) telemetry)
+    (fun () ->
+      (match prepare with Some f -> f psim | None -> ());
+      Pdes.run pdes ~until;
+      match telemetry with
+      | None -> ()
+      | Some (c, _, _) ->
+          (* Horizon sample (every shard has quiesced at [until]),
+             matching the classic path's final one-shot. *)
+          let s = Pdes.stats pdes in
+          Obs.Telemetry.record c ~time:until
+            ~domains:(Array.map Obs.Telemetry.domain_of_engine engines)
+            ~pdes:
+              {
+                Obs.Telemetry.pg_windows = s.Pdes.windows;
+                pg_utilization = Pdes.window_utilization pdes;
+                pg_mirrors = s.Pdes.messages;
+                pg_worker_minor = Pdes.live_worker_minor_words pdes;
+              }
+            ());
   (match trace_out with
   | None -> ()
   | Some path ->
-      Array.iter close_out trace_ocs;
       let inputs = List.init k (fun r -> shard_trace r path) in
       Obs.Jsonl.merge_time_sorted ~inputs ~output:path;
       List.iter Sys.remove inputs);
-  (match telemetry with
-  | None -> ()
-  | Some (c, _, _) ->
-      (* Horizon sample (every shard has quiesced at [until]), matching
-         the classic path's final one-shot. *)
-      let s = Pdes.stats pdes in
-      Obs.Telemetry.record c ~time:until
-        ~domains:(Array.map Obs.Telemetry.domain_of_engine engines)
-        ~pdes:
-          {
-            Obs.Telemetry.pg_windows = s.Pdes.windows;
-            pg_utilization = Pdes.window_utilization pdes;
-            pg_mirrors = s.Pdes.messages;
-            pg_worker_minor = Pdes.live_worker_minor_words pdes;
-          }
-        ();
-      Obs.Telemetry.close c);
   let merged = Metrics.merge_all (Array.to_list shard_metrics) in
   let total = ref 0. in
   Array.iter
@@ -854,26 +860,33 @@ let run_classic ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample
      last origination. *)
   let drain = Time.sec 2. in
   let until = Time.add sc.duration drain in
-  (* File sinks before the monitor, so a violation's ring dump and the
-     trace file agree on what precedes the violation line. *)
-  (match trace_out with Some path -> attach_trace sim path | None -> ());
-  (match pcap_out with Some path -> attach_pcap sim path | None -> ());
-  if monitor = Some true then ignore (attach_monitor sim);
-  (match (telemetry_out, telemetry_prom) with
-  | None, None -> ()
-  | jsonl, prom ->
-      let every =
-        match telemetry_every with Some e -> e | None -> Time.sec 1.
-      in
-      attach_telemetry sim ?jsonl ?prom ~every ~until ());
-  (match sample with
-  | Some every ->
-      let path = match sample_out with Some p -> p | None -> "samples.jsonl" in
-      attach_sampler sim ~every ~until path
-  | None -> ());
-  (match prepare with Some f -> f sim | None -> ());
-  Engine.run ~until sim.engine;
-  finish sim;
+  (* Sink files are closed even when attaching one, [prepare] or an
+     event raises, so a failed run leaves its trace readable up to the
+     failure. *)
+  Fun.protect
+    ~finally:(fun () -> finish sim)
+    (fun () ->
+      (* File sinks before the monitor, so a violation's ring dump and
+         the trace file agree on what precedes the violation line. *)
+      (match trace_out with Some path -> attach_trace sim path | None -> ());
+      (match pcap_out with Some path -> attach_pcap sim path | None -> ());
+      if monitor = Some true then ignore (attach_monitor sim);
+      (match (telemetry_out, telemetry_prom) with
+      | None, None -> ()
+      | jsonl, prom ->
+          let every =
+            match telemetry_every with Some e -> e | None -> Time.sec 1.
+          in
+          attach_telemetry sim ?jsonl ?prom ~every ~until ());
+      (match sample with
+      | Some every ->
+          let path =
+            match sample_out with Some p -> p | None -> "samples.jsonl"
+          in
+          attach_sampler sim ~every ~until path
+      | None -> ());
+      (match prepare with Some f -> f sim | None -> ());
+      Engine.run ~until sim.engine);
   let metrics = sim.sim_metrics in
   let sum f = Array.fold_left (fun acc m -> acc + f m) 0 sim.macs in
   {

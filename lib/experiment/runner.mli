@@ -116,7 +116,11 @@ val run :
     [prepare]: runs on the built simulation just before the engine
     starts — the hook for fault injection ({!Fault}) and custom sinks.
 
-    Trace and sample files are flushed and closed before returning.
+    Trace, pcap, telemetry and sample files are flushed and closed
+    before returning, and also when the run raises (the exception is
+    then re-raised): a failed run's trace reads back up to the
+    failure.  A sharded run that raises leaves its
+    [<path>.shard<r>] files closed but unmerged.
     The JSONL sink is attached {e before} the monitor, so a violation
     line in the trace always follows the table write that caused
     it. *)

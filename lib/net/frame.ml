@@ -30,10 +30,6 @@ let dst_equal a b =
   | Unicast x, Unicast y -> Node_id.equal x y
   | Broadcast, Unicast _ | Unicast _, Broadcast -> false
 
-let dst_addr = function
-  | Broadcast -> None
-  | Unicast d -> Some (Node_id.to_int d)
-
 (* Frame-control octet pairs: 802.11 control/ACK, and data with both
    ToDS and FromDS set (the 4-address format behind the 30-byte header
    counted by [Params.default.mac_overhead_bytes]). *)
@@ -41,29 +37,36 @@ let fc_ack = 0xd4
 let fc_data0 = 0x08
 let fc_data1 = 0x03
 
+let write_dst w = function
+  | Broadcast -> Wire.Mac.write_broadcast w
+  | Unicast d -> Wire.Mac.write_addr w (Node_id.to_int d)
+
 let write_unprotected w t =
   match t.body with
   | Ack ->
       Wire.Writer.u8 w fc_ack;
       Wire.Writer.u8 w 0;
       Wire.Writer.u16 w 0 (* duration *);
-      Wire.Mac.write_addr w (dst_addr t.dst)
+      write_dst w t.dst
   | Payload p ->
       Wire.Writer.u8 w fc_data0;
       Wire.Writer.u8 w fc_data1;
       Wire.Writer.u16 w 0 (* duration *);
-      Wire.Mac.write_addr w (dst_addr t.dst) (* A1: receiver *);
-      Wire.Mac.write_addr w (Some (Node_id.to_int t.src)) (* A2: transmitter *);
-      Wire.Mac.write_addr w (dst_addr t.dst) (* A3: destination *);
+      write_dst w t.dst (* A1: receiver *);
+      Wire.Mac.write_addr w (Node_id.to_int t.src) (* A2: transmitter *);
+      write_dst w t.dst (* A3: destination *);
       Wire.Writer.u16 w 0 (* sequence control *);
-      Wire.Mac.write_addr w (Some (Node_id.to_int t.src)) (* A4: source *);
+      Wire.Mac.write_addr w (Node_id.to_int t.src) (* A4: source *);
       Wire.Payload.write w p
+
+let encode_into w t =
+  let start = Wire.Writer.length w in
+  write_unprotected w t;
+  Wire.Writer.u32 w (Wire.Crc32.written w ~pos:start)
 
 let encode t =
   let w = Wire.Writer.create ~capacity:(encoded_length t) () in
-  write_unprotected w t;
-  let body = Wire.Writer.contents w in
-  Wire.Writer.u32 w (Wire.Crc32.bytes body ~pos:0 ~len:(Bytes.length body));
+  encode_into w t;
   Wire.Writer.contents w
 
 let ( let* ) = Result.bind

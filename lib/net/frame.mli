@@ -23,8 +23,14 @@ val encoded_length : t -> int
     MAC header + payload encoding + 4-byte FCS.  Airtime, traced bytes
     and metrics all derive from this. *)
 
+val encode_into : Wire.Writer.t -> t -> unit
+(** Append the frame exactly as transmitted to the writer, followed by
+    its CRC-32 FCS, computed over the appended bytes only.  Bytes
+    already in the writer are left as they are, so a caller can put a
+    record header in front of the frame and write both at once. *)
+
 val encode : t -> bytes
-(** The frame exactly as transmitted, CRC-32 FCS included;
+(** {!encode_into} on a fresh writer;
     [Bytes.length (encode t) = encoded_length t]. *)
 
 val decode :

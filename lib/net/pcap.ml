@@ -6,7 +6,7 @@ let snaplen = 0x40000
 type sink = { oc : out_channel; scratch : Wire.Writer.t }
 
 let flush_scratch s =
-  output_bytes s.oc (Wire.Writer.contents s.scratch);
+  Wire.Writer.output s.oc s.scratch;
   Wire.Writer.clear s.scratch
 
 let open_sink path =
@@ -27,23 +27,28 @@ let dst_int = function
   | Frame.Broadcast -> 0xffffffff
   | Frame.Unicast d -> Packets.Node_id.to_int d
 
+(* The record header, pseudo-header and frame are built in the sink's
+   scratch writer and leave in one write; nothing is allocated per
+   record.  [Sim.Time.t] is an immediate int, so the timestamp splits
+   with int arithmetic, and the u64 pseudo-header time is written as
+   two u32 halves. *)
 let write s ~time frame =
-  let encoded = Frame.encode frame in
-  let len = pseudo_header_bytes + Bytes.length encoded in
-  let ns = Sim.Time.to_ns time in
+  let len = pseudo_header_bytes + Frame.encoded_length frame in
+  let ns = (time : Sim.Time.t :> int) in
   let w = s.scratch in
-  Wire.Writer.u32 w (Int64.to_int (Int64.div ns 1_000_000_000L));
-  Wire.Writer.u32 w (Int64.to_int (Int64.rem ns 1_000_000_000L));
+  Wire.Writer.u32 w (ns / 1_000_000_000);
+  Wire.Writer.u32 w (ns mod 1_000_000_000);
   Wire.Writer.u32 w len (* incl_len *);
   Wire.Writer.u32 w len (* orig_len *);
-  Wire.Writer.u64 w ns;
+  Wire.Writer.u32 w (ns asr 32);
+  Wire.Writer.u32 w ns;
   Wire.Writer.u32 w (Packets.Node_id.to_int frame.Frame.src);
   Wire.Writer.u32 w (dst_int frame.Frame.dst);
   Wire.Writer.u8 w (Frame.family frame);
   Wire.Writer.u8 w 0;
   Wire.Writer.u16 w 0;
-  flush_scratch s;
-  output_bytes s.oc encoded
+  Frame.encode_into w frame;
+  flush_scratch s
 
 let close s = close_out s.oc
 

@@ -7,11 +7,11 @@
     of int and simple-string fields) — the container ships no JSON
     library, and the trace schema needs nothing more. *)
 
-val write : Bus.t -> out_channel -> Event.t -> unit
-
 val sink : Bus.t -> out_channel -> Bus.sink
-(** A bus sink writing one line per event to [oc].  The caller owns
-    [oc] (flush/close when the run ends). *)
+(** A bus sink writing one line per event to [oc].  Each line is built
+    in a byte buffer the sink owns and reuses, and written with one
+    [output] call; a line allocates nothing.  The caller owns [oc]
+    (flush/close when the run ends). *)
 
 type value = Int of int | Float of float | Str of string
 

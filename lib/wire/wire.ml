@@ -51,6 +51,7 @@ module Writer = struct
     t.len <- t.len + n
 
   let contents t = Bytes.sub t.buf 0 t.len
+  let output oc t = Stdlib.output oc t.buf 0 t.len
 end
 
 module Reader = struct
@@ -129,6 +130,8 @@ module Crc32 = struct
         lxor (!crc lsr 8)
     done;
     !crc lxor 0xffffffff
+
+  let written (w : Writer.t) ~pos = bytes w.buf ~pos ~len:(w.len - pos)
 end
 
 let ( let* ) = Result.bind
@@ -943,13 +946,13 @@ module Mac = struct
   let data_overhead = header_bytes + fcs_bytes
   let ack_bytes = 14
 
-  let write_addr w = function
-    | None ->
-        Writer.u16 w 0xffff;
-        Writer.u32 w 0xffffffff
-    | Some id ->
-        Writer.u16 w 0x0200;
-        Writer.u32 w id
+  let write_addr w id =
+    Writer.u16 w 0x0200;
+    Writer.u32 w id
+
+  let write_broadcast w =
+    Writer.u16 w 0xffff;
+    Writer.u32 w 0xffffffff
 
   let read_addr r =
     let* hi = Reader.u16 r in

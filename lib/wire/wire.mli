@@ -31,6 +31,10 @@ module Writer : sig
 
   val contents : t -> bytes
   (** A copy of the bytes written so far. *)
+
+  val output : out_channel -> t -> unit
+  (** Write the bytes written so far to the channel, without copying
+      them. *)
 end
 
 (** Bounds-checked big-endian cursor; all reads return [result]. *)
@@ -58,6 +62,9 @@ end
 module Crc32 : sig
   val bytes : bytes -> pos:int -> len:int -> int
   (** Unsigned 32-bit digest as an int. *)
+
+  val written : Writer.t -> pos:int -> int
+  (** Digest of the bytes written to the writer from offset [pos] on. *)
 end
 
 (** LDR control messages (paper, Section 2): type octet, one flags octet
@@ -159,9 +166,13 @@ module Mac : sig
   val data_overhead : int
   val ack_bytes : int
 
-  val write_addr : Writer.t -> int option -> unit
-  (** [Some id] as the locally administered MAC 02:00:aa:bb:cc:dd with
-      the node id in the low 32 bits; [None] as the broadcast address. *)
+  val write_addr : Writer.t -> int -> unit
+  (** Node [id] as the locally administered MAC 02:00:aa:bb:cc:dd with
+      the id in the low 32 bits. *)
+
+  val write_broadcast : Writer.t -> unit
+  (** The broadcast address, ff:ff:ff:ff:ff:ff. *)
 
   val read_addr : Reader.t -> (int option, error) result
+  (** [Some id] for a node address, [None] for broadcast. *)
 end

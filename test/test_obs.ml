@@ -152,6 +152,175 @@ let jsonl_roundtrip () =
   | Ok t -> checki "all events round-trip" !counted (Obs.Reader.length t));
   Sys.remove trace_file
 
+(* ---- JSONL writer against the Printf oracle --------------------------- *)
+
+(* The rendering the sink must reproduce byte for byte. *)
+let printf_line bus (ev : Obs.Event.t) =
+  let b = Buffer.create 128 in
+  Printf.bprintf b "{\"t\":%d,\"n\":%d,\"k\":\"%s\"" (ev.time :> int) ev.node
+    (Obs.Event.kind_name ev.kind);
+  if Obs.Event.has_label ev.kind && ev.a >= 0 then
+    Printf.bprintf b ",\"s\":\"%s\"" (Obs.Bus.name bus ev.a);
+  Printf.bprintf b ",\"a\":%d,\"b\":%d,\"c\":%d,\"d\":%d,\"e\":%d,\"f\":%d}\n"
+    ev.a ev.b ev.c ev.d ev.e ev.f;
+  Buffer.contents b
+
+let all_kinds =
+  Obs.Event.
+    [
+      Tx;
+      Rx;
+      Collision;
+      Ifq_drop;
+      Deliver;
+      Data_drop;
+      Link_failure;
+      Proto;
+      Table_write;
+      Violation;
+      Span;
+    ]
+
+let labels = [ "DATA"; "RREQ"; "no-route"; "buffer-timeout"; "rreq-retry" ]
+
+let gen_field =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
+        (3, int_range (-20) 20);
+        (2, map (fun e -> 1 lsl e) (int_range 0 61));
+        (2, int);
+      ])
+
+let gen_event =
+  QCheck.Gen.(
+    map
+      (fun ((kind, time, node), (a, b, c), (d, e, f)) ->
+        let ev = Obs.Event.make () in
+        ev.kind <- kind;
+        ev.time <- Time.unsafe_of_ns time;
+        ev.node <- node;
+        ev.a <- a;
+        ev.b <- b;
+        ev.c <- c;
+        ev.d <- d;
+        ev.e <- e;
+        ev.f <- f;
+        ev)
+      (triple
+         (triple (oneofl all_kinds) gen_field gen_field)
+         (* Labelled kinds read [a] as an interned id: cover the ids in
+            the table, one past it, and negative values. *)
+         (triple
+            (frequency
+               [ (3, int_range (-2) (List.length labels)); (1, gen_field) ])
+            gen_field gen_field)
+         (triple gen_field gen_field gen_field)))
+
+let pp_event (ev : Obs.Event.t) =
+  Printf.sprintf "%s t=%d n=%d a=%d b=%d c=%d d=%d e=%d f=%d"
+    (Obs.Event.kind_name ev.kind)
+    (ev.time :> int)
+    ev.node ev.a ev.b ev.c ev.d ev.e ev.f
+
+let fields_read_back bus (ev : Obs.Event.t) line =
+  let open Obs.Jsonl in
+  match parse_line (String.sub line 0 (String.length line - 1)) with
+  | None -> false
+  | Some fields ->
+      let int k v = List.assoc_opt k fields = Some (Int v) in
+      int "t" (ev.time :> int)
+      && int "n" ev.node
+      && List.assoc_opt "k" fields = Some (Str (Obs.Event.kind_name ev.kind))
+      && (if Obs.Event.has_label ev.kind && ev.a >= 0 then
+            List.assoc_opt "s" fields = Some (Str (Obs.Bus.name bus ev.a))
+          else not (List.mem_assoc "s" fields))
+      && int "a" ev.a && int "b" ev.b && int "c" ev.c && int "d" ev.d
+      && int "e" ev.e && int "f" ev.f
+
+(* Every line the sink writes equals the Printf rendering, and
+   [parse_line] reads every field of it back. *)
+let jsonl_matches_printf =
+  QCheck.Test.make ~name:"sink bytes equal the Printf rendering" ~count:300
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.map pp_event evs))
+       QCheck.Gen.(list_size (int_range 1 20) gen_event))
+    (fun evs ->
+      let bus = Obs.Bus.create () in
+      List.iter (fun l -> ignore (Obs.Bus.intern bus l)) labels;
+      let path = Filename.temp_file "obs_oracle" ".jsonl" in
+      let oc = open_out_bin path in
+      let sink = Obs.Jsonl.sink bus oc in
+      List.iter sink evs;
+      close_out oc;
+      let written = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      let expected = List.map (printf_line bus) evs in
+      written = String.concat "" expected
+      && List.for_all2 (fields_read_back bus) evs expected)
+
+(* ---- Sink files on a failed run ---------------------------------------- *)
+
+exception Boom
+
+(* An event that raises mid-run must not leave the trace or capture
+   unflushed: both read back complete up to the failure. *)
+let sinks_closed_on_raise () =
+  let trace = Filename.temp_file "obs_raise" ".jsonl" in
+  let pcap = Filename.temp_file "obs_raise" ".pcap" in
+  let seen = ref 0 in
+  let sent = ref 0 in
+  (match
+     Runner.run ~trace_out:trace ~pcap_out:pcap
+       ~prepare:(fun sim ->
+         Obs.Bus.add_sink sim.Runner.bus (fun _ -> incr seen);
+         Net.Channel.add_transmit_hook sim.Runner.channel (fun _ _ ->
+             incr sent);
+         ignore (Engine.at sim.Runner.engine (Time.sec 1.) (fun () -> raise Boom)))
+       (scenario ())
+   with
+  | _ -> Alcotest.fail "the raising event did not propagate"
+  | exception Boom -> ());
+  checkb "events before the failure" true (!seen > 0 && !sent > 0);
+  (match Obs.Reader.load trace with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      checki "trace holds every event up to the failure" !seen
+        (Obs.Reader.length t);
+      let last = (Obs.Reader.events t).(Obs.Reader.length t - 1) in
+      checkb "nothing traced after the failure" true
+        Time.(last.Obs.Event.time <= sec 1.));
+  (match Net.Pcap.load pcap with
+  | Error e -> Alcotest.fail e
+  | Ok records -> checki "capture holds every frame" !sent (List.length records));
+  Sys.remove trace;
+  Sys.remove pcap
+
+(* The same on a sharded run: each region's trace file is closed, and
+   readable, when a boundary callback raises. *)
+let shard_sinks_closed_on_raise () =
+  let trace = Filename.temp_file "obs_raise_pdes" ".jsonl" in
+  let shards = 2 in
+  (match
+     Runner.run ~trace_out:trace
+       ~prepare_pdes:(fun p ->
+         p.Runner.p_request_injection ~at:(Time.sec 1.) (fun () -> raise Boom))
+       { (scenario ()) with Scenario.shards }
+   with
+  | _ -> Alcotest.fail "the raising callback did not propagate"
+  | exception Boom -> ());
+  let total = ref 0 in
+  for r = 0 to shards - 1 do
+    let path = Printf.sprintf "%s.shard%d" trace r in
+    (match Obs.Reader.load path with
+    | Error e -> Alcotest.fail e
+    | Ok t -> total := !total + Obs.Reader.length t);
+    Sys.remove path
+  done;
+  checkb "regions traced up to the failure" true (!total > 0);
+  Sys.remove trace
+
 (* The sampler emits one line per interval with valid flat JSON. *)
 let sampler_emits () =
   let sample_file = Filename.temp_file "obs_sample" ".jsonl" in
@@ -187,6 +356,11 @@ let () =
           Alcotest.test_case "null-sink differential" `Slow
             null_sink_differential;
           Alcotest.test_case "jsonl roundtrip" `Slow jsonl_roundtrip;
+          QCheck_alcotest.to_alcotest jsonl_matches_printf;
+          Alcotest.test_case "sinks closed on raise" `Quick
+            sinks_closed_on_raise;
+          Alcotest.test_case "shard sinks closed on raise" `Quick
+            shard_sinks_closed_on_raise;
         ] );
       ( "monitor",
         [

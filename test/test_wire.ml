@@ -247,6 +247,28 @@ let roundtrip_frame =
       && Net.Frame.decode ~family:(Net.Frame.family f) ~ack_src:f.Net.Frame.src b
          = Ok f)
 
+(* Behind bytes already in the writer, [encode_into] appends exactly
+   [encode f]: the prefix is untouched and the FCS covers the frame
+   alone. *)
+let encode_into_appends =
+  QCheck.Test.make ~name:"encode_into appends encode" ~count:500
+    (arb
+       ~print:(fun (prefix, f) -> Printf.sprintf "%S %s" prefix (pp_frame f))
+       (G.pair (G.string_size (G.int_range 1 64)) gen_frame))
+    (fun (prefix, f) ->
+      let w = Wire.Writer.create ~capacity:8 () in
+      String.iter (fun c -> Wire.Writer.u8 w (Char.code c)) prefix;
+      Net.Frame.encode_into w f;
+      let out = Wire.Writer.contents w in
+      let p = String.length prefix in
+      let frame = Net.Frame.encode f in
+      let flen = Bytes.length frame in
+      let fcs = Wire.Reader.u32 (Wire.Reader.of_bytes ~pos:(p + flen - 4) out) in
+      Bytes.length out = p + flen
+      && Bytes.sub_string out 0 p = prefix
+      && Bytes.equal (Bytes.sub out p flen) frame
+      && fcs = Ok (Wire.Crc32.bytes out ~pos:p ~len:(flen - 4)))
+
 (* ---- Fuzzing: decoders are total and the FCS rejects corruption ------- *)
 
 let gen_garbage = G.map Bytes.of_string (G.string_size (G.int_range 0 80))
@@ -379,7 +401,8 @@ let () =
           Alcotest.test_case "crc32 vector" `Quick crc32_vector;
           Alcotest.test_case "constants agree" `Quick constants_agree;
         ] );
-      ("roundtrip", [ qt roundtrip_payload; qt roundtrip_frame ]);
+      ( "roundtrip",
+        [ qt roundtrip_payload; qt roundtrip_frame; qt encode_into_appends ] );
       ( "fuzz",
         [
           qt fuzz_random;
