@@ -435,27 +435,19 @@ let discovery ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_discovery.json)\n%!"
 
-(* ---- Channel scaling: naive O(N) scan vs the spatial grid --------------- *)
+(* ---- Sparse scenario and timing helpers --------------------------------- *)
 
 (* A fixed mobile scenario grown to N nodes at constant node density
-   (the paper's 5:1 terrain aspect), with flows scaled alongside so the
-   offered load per node is constant.  Every N runs under the naive
-   linear-scan channel, the spatial grid, and the struct-of-arrays
-   layout (shared position planes + incremental cell index) — checking
-   the outcomes are byte-identical and recording the wall-clock and
-   allocation trajectories into BENCH_channel.json.  The naive scan is
-   quadratic in N, so it is skipped past [channel_naive_cap]; the
-   2000/5000-node points exist to put the SoA trajectory on one axis. *)
+   (the paper's 5:1 terrain aspect) with 10 flows, used by the scale,
+   obs and pdes sections. *)
 
-let channel_node_counts = [ 50; 200; 500; 1000; 2000; 5000 ]
-let channel_naive_cap = 1000
 let channel_duration_s = 60.
 
 (* Sparser than the paper's boxes (the paper packs ~105 nodes inside one
    carrier-sense disk, so per-transmission contention work swamps the
    neighbour scan at any index).  200 m spacing keeps the decode-range
-   degree near 6 — floods still percolate — while the scan itself is the
-   hot path, which is exactly what this benchmark tracks. *)
+   degree near 6 — floods still percolate — while the channel's
+   neighbour scan stays on the hot path. *)
 let channel_area_per_node = 55_000.
 
 let channel_scenario ~nodes =
@@ -501,166 +493,27 @@ let identical_outcomes (a : Runner.outcome) (b : Runner.outcome) =
   && a.Runner.mac_queue_drops = b.Runner.mac_queue_drops
   && a.Runner.mac_unicast_failures = b.Runner.mac_unicast_failures
 
-type channel_point = {
-  cp_nodes : int;
-  cp_naive_s : float option;  (* None past the quadratic-scan cap *)
-  cp_grid_s : float;
-  cp_soa_s : float;
-  cp_identical : bool;
-  cp_transmissions : int;
-  cp_events : int;
-  cp_minor_words : float;  (* grid run *)
-  cp_promoted_words : float;
-  cp_soa_minor_words : float;
-  cp_soa_promoted_words : float;
-}
+(* ---- City scale: 1k/10k-node timings and the scenario families --------- *)
 
-let channel_bench_json points =
-  let point p =
-    let ev = float_of_int p.cp_events in
-    Printf.sprintf
-      "    { \"nodes\": %d, \"naive_s\": %s, \"grid_s\": %.4f, \
-       \"soa_s\": %.4f, \"speedup\": %s, \"soa_speedup_vs_grid\": %.2f, \
-       \"identical\": %b, \"transmissions\": %d, \"events\": %d, \
-       \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-       \"minor_words_per_event\": %.1f, \"soa_minor_words\": %.0f, \
-       \"soa_promoted_words\": %.0f, \"soa_minor_words_per_event\": %.1f }"
-      p.cp_nodes
-      (match p.cp_naive_s with
-      | Some s -> Printf.sprintf "%.4f" s
-      | None -> "null")
-      p.cp_grid_s p.cp_soa_s
-      (match p.cp_naive_s with
-      | Some s -> Printf.sprintf "%.2f" (s /. p.cp_grid_s)
-      | None -> "null")
-      (p.cp_grid_s /. p.cp_soa_s)
-      p.cp_identical p.cp_transmissions p.cp_events p.cp_minor_words
-      p.cp_promoted_words
-      (p.cp_minor_words /. ev)
-      p.cp_soa_minor_words p.cp_soa_promoted_words
-      (p.cp_soa_minor_words /. ev)
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmark\": \"channel-scaling\",";
-      Printf.sprintf "  \"scenario\": \"LDR random-waypoint, %g s simulated, %g m2/node, 10 flows\","
-        channel_duration_s channel_area_per_node;
-      Printf.sprintf
-        "  \"naive_note\": \"the O(N)-scan channel is quadratic in N and \
-         skipped past %d nodes; soa = shared position planes + incremental \
-         cell index, digest-checked against both other modes\","
-        channel_naive_cap;
-      "  \"points\": [";
-      String.concat ",\n" (List.map point points);
-      "  ]";
-      "}";
-    ]
+(* Two parts:
 
-let channel_scaling ~scale:_ () =
-  heading
-    "Channel scaling: naive O(N) scan vs spatial grid vs struct-of-arrays (byte-identical outcomes)";
-  let points =
-    List.map
-      (fun nodes ->
-        let sc = channel_scenario ~nodes in
-        let naive =
-          if nodes <= channel_naive_cap then
-            let s, o, _, _ = timed_run (Scenario.with_naive_channel true sc) in
-            Some (s, o)
-          else None
-        in
-        let grid_s, og, minor, promoted = timed_run sc in
-        let soa_s, os, s_minor, s_promoted =
-          timed_run (Scenario.with_soa true sc)
-        in
-        let identical =
-          identical_outcomes og os
-          && match naive with
-             | Some (_, on) -> identical_outcomes on og
-             | None -> true
-        in
-        if not identical then
-          Printf.printf "  !! %d nodes: channel-mode outcomes DIVERGE\n%!"
-            nodes;
-        {
-          cp_nodes = nodes;
-          cp_naive_s = Option.map fst naive;
-          cp_grid_s = grid_s;
-          cp_soa_s = soa_s;
-          cp_identical = identical;
-          cp_transmissions = og.Runner.transmissions;
-          cp_events = og.Runner.events_processed;
-          cp_minor_words = minor;
-          cp_promoted_words = promoted;
-          cp_soa_minor_words = s_minor;
-          cp_soa_promoted_words = s_promoted;
-        })
-      channel_node_counts
-  in
-  let rows =
-    List.map
-      (fun p ->
-        let ev = float_of_int p.cp_events in
-        [
-          string_of_int p.cp_nodes;
-          (match p.cp_naive_s with
-          | Some s -> Printf.sprintf "%.3f" s
-          | None -> "-");
-          Printf.sprintf "%.3f" p.cp_grid_s;
-          Printf.sprintf "%.3f" p.cp_soa_s;
-          Printf.sprintf "%.1f" (p.cp_minor_words /. ev);
-          Printf.sprintf "%.1f" (p.cp_soa_minor_words /. ev);
-          (if p.cp_identical then "yes" else "NO");
-          string_of_int p.cp_transmissions;
-        ])
-      points
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "nodes"; "naive s"; "grid s"; "soa s"; "minW/ev"; "soa minW/ev";
-           "identical"; "tx" ]
-       rows);
-  let oc = open_out "BENCH_channel.json" in
-  output_string oc (channel_bench_json points);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_channel.json)\n%!"
-
-(* ---- City scale: struct-of-arrays node state and the new families ------- *)
-
-(* Two parts, both on the channel-scaling density (5:1 aspect, 10
-   flows, grid channel):
-
-   - Layout: the scenario at growing N under both node-state layouts —
-     per-node records (boxed positions, full grid rebuilds) and
-     struct-of-arrays (shared unboxed position planes, incremental
-     cell index) — with digest equality as the gate.  The 1000-node
-     row carries the allocation before/after this PR tracks: the
-     committed pre-SoA BENCH_channel.json measured 31,109,620 minor
-     words over 438,265 events = 71.0 words/event on the record path.
-     The default run tops out at the 10k-node, 60 s point.
+   - Timings: the sparse scenario at 1000 and 10,000 nodes (flows
+     scaled 10 per 1000 nodes) for 60 s simulated — wall time, event
+     rate and allocation per event.
    - Families: one delivery/overhead row per scenario family —
      waypoint, Manhattan grid, RPGM groups, shadowing, churn,
-     partition-then-heal — on the SoA path with the LDR invariant
-     monitor armed throughout (churn's crash-rebooted sequence numbers
-     are the van Glabbeek loop stressor). *)
+     partition-then-heal — with the LDR invariant monitor armed
+     throughout (churn's crash-rebooted sequence numbers are the van
+     Glabbeek loop stressor). *)
 
-let scale_alloc_before_1000n = 71.0
-
-type layout_point = {
-  lp_nodes : int;
-  lp_record_s : float;
-  lp_soa_s : float;
-  lp_identical : bool;
-  lp_events : int;
-  lp_transmissions : int;
-  lp_delivery : float;
-  lp_record_minor_per_ev : float;
-  lp_soa_minor_per_ev : float;
-  lp_record_promoted_per_ev : float;
-  lp_soa_promoted_per_ev : float;
+type scale_point = {
+  sp_nodes : int;
+  sp_s : float;
+  sp_events : int;
+  sp_transmissions : int;
+  sp_delivery : float;
+  sp_minor_per_ev : float;
+  sp_promoted_per_ev : float;
 }
 
 type family_row = {
@@ -673,11 +526,11 @@ type family_row = {
   fr_events : int;
 }
 
-(* The family sweep uses a much denser terrain than the channel-scaling
-   one: ~15,000 m^2/node puts the mean decode-range degree around 13,
+(* The family sweep uses a much denser terrain than the sparse
+   scenario: ~15,000 m^2/node puts the mean decode-range degree around 13,
    comfortably above the continuum-percolation threshold, so the network
    is connected, delivery figures are meaningful, and the partition wall
-   actually severs live paths (at channel density the network is already
+   actually severs live paths (at sparse density the network is already
    fragmented and a wall through it changes nothing). *)
 let scale_family_area_per_node = 15_000.
 
@@ -693,7 +546,6 @@ let scale_families ~nodes ~duration =
       terrain;
       duration = Time.sec duration;
     }
-    |> Scenario.with_soa true
   in
   let manhattan = Scenario.Manhattan { spacing = 200. } in
   let rpgm =
@@ -721,23 +573,16 @@ let scale_families ~nodes ~duration =
     ("partition-heal", Scenario.with_partition (Some partition) base);
   ]
 
-let scale_bench_json ~family_nodes ~family_duration layout families =
-  let lp p =
+let scale_bench_json ~family_nodes ~family_duration points families =
+  let sp p =
     Printf.sprintf
-      "    { \"nodes\": %d, \"record_s\": %.4f, \"soa_s\": %.4f, \
-       \"speedup\": %.2f, \"identical\": %b, \"events\": %d, \
-       \"events_per_s_soa\": %.0f, \"transmissions\": %d, \
-       \"delivery_ratio\": %.4f, \"minor_words_per_event_record\": %.1f, \
-       \"minor_words_per_event_soa\": %.1f, \
-       \"promoted_words_per_event_record\": %.2f, \
-       \"promoted_words_per_event_soa\": %.2f }"
-      p.lp_nodes p.lp_record_s p.lp_soa_s
-      (p.lp_record_s /. p.lp_soa_s)
-      p.lp_identical p.lp_events
-      (float_of_int p.lp_events /. p.lp_soa_s)
-      p.lp_transmissions p.lp_delivery p.lp_record_minor_per_ev
-      p.lp_soa_minor_per_ev p.lp_record_promoted_per_ev
-      p.lp_soa_promoted_per_ev
+      "    { \"nodes\": %d, \"wall_s\": %.4f, \"events\": %d, \
+       \"events_per_s\": %.0f, \"transmissions\": %d, \
+       \"delivery_ratio\": %.4f, \"minor_words_per_event\": %.1f, \
+       \"promoted_words_per_event\": %.2f }"
+      p.sp_nodes p.sp_s p.sp_events
+      (float_of_int p.sp_events /. p.sp_s)
+      p.sp_transmissions p.sp_delivery p.sp_minor_per_ev p.sp_promoted_per_ev
   in
   let fr r =
     Printf.sprintf
@@ -747,57 +592,35 @@ let scale_bench_json ~family_nodes ~family_duration layout families =
       r.fr_name r.fr_delivery r.fr_latency_ms r.fr_network_load
       r.fr_byte_load r.fr_violations r.fr_events
   in
-  let alloc_1000n =
-    match List.find_opt (fun p -> p.lp_nodes = 1000) layout with
-    | None -> []
-    | Some p ->
-        [
-          Printf.sprintf
-            "  \"alloc_1000n\": { \"minor_words_per_event_before\": %.1f, \
-             \"minor_words_per_event_record\": %.1f, \
-             \"minor_words_per_event_soa\": %.1f, \
-             \"reduction_pct_vs_before\": %.1f },"
-            scale_alloc_before_1000n p.lp_record_minor_per_ev
-            p.lp_soa_minor_per_ev
-            (100.
-            *. (scale_alloc_before_1000n -. p.lp_soa_minor_per_ev)
-            /. scale_alloc_before_1000n);
-        ]
-  in
   String.concat "\n"
     ([
        "{";
        "  \"benchmark\": \"city-scale\",";
        Printf.sprintf
-         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows, grid \
-          channel; soa = shared unboxed position planes + incremental \
-          cell index + flat MAC counter planes\","
+         "  \"scenario\": \"LDR, %g m2/node (5:1 aspect), 10 flows per \
+          1000 nodes\","
          channel_area_per_node;
        Printf.sprintf
          "  \"families_scenario\": \"%d nodes, %g s simulated, monitor \
-          armed, soa layout\","
+          armed\","
          family_nodes family_duration;
      ]
-    @ alloc_1000n
-    @ [ "  \"layout_points\": [" ]
-    @ [ String.concat ",\n" (List.map lp layout) ]
+    @ [ "  \"points\": [" ]
+    @ [ String.concat ",\n" (List.map sp points) ]
     @ [ "  ],"; "  \"families\": [" ]
     @ [ String.concat ",\n" (List.map fr families) ]
     @ [ "  ]"; "}" ])
 
 let scale_bench ~scale () =
-  heading
-    "City scale: struct-of-arrays node state vs per-node records (identical outcomes)";
+  heading "City scale: 1k/10k-node timings and the scenario families";
   let quick = scale.duration <= 30. in
   let counts = if quick then [ 500 ] else [ 1000; 10_000 ] in
   let duration = if quick then 20. else 60. in
-  let layout =
+  let points =
     List.map
       (fun nodes ->
         (* Flows scale with the node count (10 per 1000 nodes) so the
-           10k point carries real traffic; 1000 nodes keeps the exact
-           channel-bench workload, preserving comparability with the
-           pre-PR allocation baseline. *)
+           10k point carries real traffic. *)
         let sc =
           {
             (channel_scenario ~nodes) with
@@ -811,62 +634,35 @@ let scale_bench ~scale () =
           }
         in
         let reps = if nodes >= 10_000 then 2 else 3 in
-        let record_s, orec, r_minor, r_promoted = timed_run ~reps sc in
-        let soa_s, osoa, s_minor, s_promoted =
-          timed_run ~reps (Scenario.with_soa true sc)
-        in
-        let identical = identical_outcomes orec osoa in
-        if not identical then
-          Printf.printf "  !! %d nodes: soa and record outcomes DIVERGE\n%!"
-            nodes;
-        let ev = float_of_int orec.Runner.events_processed in
+        let s, o, minor, promoted = timed_run ~reps sc in
+        let ev = float_of_int o.Runner.events_processed in
         {
-          lp_nodes = nodes;
-          lp_record_s = record_s;
-          lp_soa_s = soa_s;
-          lp_identical = identical;
-          lp_events = orec.Runner.events_processed;
-          lp_transmissions = orec.Runner.transmissions;
-          lp_delivery = Metrics.delivery_ratio orec.Runner.metrics;
-          lp_record_minor_per_ev = r_minor /. ev;
-          lp_soa_minor_per_ev = s_minor /. ev;
-          lp_record_promoted_per_ev = r_promoted /. ev;
-          lp_soa_promoted_per_ev = s_promoted /. ev;
+          sp_nodes = nodes;
+          sp_s = s;
+          sp_events = o.Runner.events_processed;
+          sp_transmissions = o.Runner.transmissions;
+          sp_delivery = Metrics.delivery_ratio o.Runner.metrics;
+          sp_minor_per_ev = minor /. ev;
+          sp_promoted_per_ev = promoted /. ev;
         })
       counts
   in
   print_endline
     (Stats.Table.render
-       ~header:
-         [ "nodes"; "record s"; "soa s"; "speedup"; "identical";
-           "minW/ev rec"; "minW/ev soa"; "delivery" ]
+       ~header:[ "nodes"; "wall s"; "events/s"; "minW/ev"; "delivery" ]
        (List.map
           (fun p ->
             [
-              string_of_int p.lp_nodes;
-              Printf.sprintf "%.3f" p.lp_record_s;
-              Printf.sprintf "%.3f" p.lp_soa_s;
-              Printf.sprintf "%.2fx" (p.lp_record_s /. p.lp_soa_s);
-              (if p.lp_identical then "yes" else "NO");
-              Printf.sprintf "%.1f" p.lp_record_minor_per_ev;
-              Printf.sprintf "%.1f" p.lp_soa_minor_per_ev;
-              Printf.sprintf "%.4f" p.lp_delivery;
+              string_of_int p.sp_nodes;
+              Printf.sprintf "%.3f" p.sp_s;
+              Printf.sprintf "%.0f" (float_of_int p.sp_events /. p.sp_s);
+              Printf.sprintf "%.1f" p.sp_minor_per_ev;
+              Printf.sprintf "%.4f" p.sp_delivery;
             ])
-          layout));
-  (match List.find_opt (fun p -> p.lp_nodes = 1000) layout with
-  | Some p ->
-      Printf.printf
-        "  1000-node allocation: %.1f minor words/event before this PR, \
-         %.1f record, %.1f soa (%.1f%% below the pre-PR baseline)\n%!"
-        scale_alloc_before_1000n p.lp_record_minor_per_ev
-        p.lp_soa_minor_per_ev
-        (100.
-        *. (scale_alloc_before_1000n -. p.lp_soa_minor_per_ev)
-        /. scale_alloc_before_1000n)
-  | None -> ());
+          points));
   let family_nodes = if quick then 300 else 1000 in
   let family_duration = if quick then 20. else 60. in
-  Printf.printf "\n  families: %d nodes, %g s, monitor armed, soa layout\n%!"
+  Printf.printf "\n  families: %d nodes, %g s, monitor armed\n%!"
     family_nodes family_duration;
   let families =
     List.map
@@ -905,218 +701,10 @@ let scale_bench ~scale () =
           families));
   let oc = open_out "BENCH_scale.json" in
   output_string oc
-    (scale_bench_json ~family_nodes ~family_duration layout families);
+    (scale_bench_json ~family_nodes ~family_duration points families);
   output_string oc "\n";
   close_out oc;
   Printf.printf "  (wrote BENCH_scale.json)\n%!"
-
-(* ---- Engine scaling: binary-heap scheduler vs the calendar queue -------- *)
-
-(* Two measurements per scenario, both over event-for-event identical
-   outcomes:
-
-   - Scheduler replay (the headline): the scenario runs once recording
-     its exact schedule/cancel/pop op sequence ({!Engine.record_trace}),
-     and that trace replays through each scheduler with no-op callbacks.
-     This times the engine hot path alone — schedule, cancel, pop, and
-     the per-event allocation each mode pays — on the real op mix,
-     cancels and all.
-   - Full simulation: the scenario runs end-to-end under each scheduler.
-     Protocol and channel work (identical either way) dominates here, so
-     this ratio mostly bounds how much of the wall clock the scheduler
-     was to begin with.
-
-   The N-sweep reuses the channel-scaling scenarios (grid channel both
-   times, so only the scheduler differs); the last point is the
-   congested Fig-5 shape the tentpole targets. *)
-
-type engine_point = {
-  ep_label : string;
-  ep_nodes : int;
-  ep_replay_heap_s : float;
-  ep_replay_cal_s : float;
-  ep_trace_ops : int;
-  ep_sim_heap_s : float;
-  ep_sim_cal_s : float;
-  ep_identical : bool;
-  ep_events : int;
-  ep_replay_heap_minor_per_ev : float;
-  ep_replay_cal_minor_per_ev : float;
-  ep_sim_heap_minor_per_ev : float;
-  ep_sim_cal_minor_per_ev : float;
-  ep_sim_heap_promoted_per_ev : float;
-  ep_sim_cal_promoted_per_ev : float;
-}
-
-(* Same protocol as [timed_run]: deterministic, min wall time of 3,
-   allocation counters from the last repetition. *)
-let timed_replay ?(reps = 3) ~scheduler trace =
-  let best = ref infinity in
-  let minor = ref 0. in
-  let fired = ref 0 in
-  for _ = 1 to reps do
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let n = Sim.Engine.replay_trace ~scheduler trace in
-    let dt = Unix.gettimeofday () -. t0 in
-    minor := Gc.minor_words () -. m0;
-    if dt < !best then best := dt;
-    fired := n
-  done;
-  (!best, !fired, !minor)
-
-(* Minor words/event (calendar scheduler) measured on this container
-   before the hot-path allocation trims in lib/net/mac.ml and the
-   runner's metrics transmit hook, so the JSON records the before/after
-   trajectory the trims bought. *)
-let engine_alloc_baseline =
-  [
-    ("50n", 64.9);
-    ("200n", 73.2);
-    ("500n", 69.4);
-    ("1000n", 71.0);
-    ("fig5-100n-30f-p0", 269.9);
-  ]
-
-let engine_bench_json points =
-  let point p =
-    let before_fields =
-      match List.assoc_opt p.ep_label engine_alloc_baseline with
-      | None -> ""
-      | Some before ->
-          Printf.sprintf
-            " \"sim_minor_words_per_event_calendar_before\": %.1f, \
-             \"sim_minor_words_reduction_pct\": %.1f,"
-            before
-            (100. *. (before -. p.ep_sim_cal_minor_per_ev) /. before)
-    in
-    Printf.sprintf
-      "    { \"label\": %S, \"nodes\": %d, \"events\": %d, \
-       \"trace_ops\": %d, \"identical\": %b,\n\
-      \      \"replay_heap_s\": %.4f, \"replay_calendar_s\": %.4f, \
-       \"speedup\": %.2f, \"replay_events_per_sec\": %.0f, \
-       \"replay_minor_words_per_event_heap\": %.1f, \
-       \"replay_minor_words_per_event_calendar\": %.1f,\n\
-      \      \"sim_heap_s\": %.4f, \"sim_calendar_s\": %.4f, \
-       \"sim_speedup\": %.2f, \"sim_events_per_sec\": %.0f, \
-       \"sim_minor_words_per_event_heap\": %.1f, \
-       \"sim_minor_words_per_event_calendar\": %.1f,%s \
-       \"sim_promoted_words_per_event_heap\": %.2f, \
-       \"sim_promoted_words_per_event_calendar\": %.2f }"
-      p.ep_label p.ep_nodes p.ep_events p.ep_trace_ops p.ep_identical
-      p.ep_replay_heap_s p.ep_replay_cal_s
-      (p.ep_replay_heap_s /. p.ep_replay_cal_s)
-      (float_of_int p.ep_events /. p.ep_replay_cal_s)
-      p.ep_replay_heap_minor_per_ev p.ep_replay_cal_minor_per_ev
-      p.ep_sim_heap_s p.ep_sim_cal_s
-      (p.ep_sim_heap_s /. p.ep_sim_cal_s)
-      (float_of_int p.ep_events /. p.ep_sim_cal_s)
-      p.ep_sim_heap_minor_per_ev p.ep_sim_cal_minor_per_ev before_fields
-      p.ep_sim_heap_promoted_per_ev p.ep_sim_cal_promoted_per_ev
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmark\": \"engine-scaling\",";
-      Printf.sprintf
-        "  \"scenario\": \"LDR random-waypoint, %g s simulated; N-sweep at %g m2/node plus the Fig-5 shape (100 nodes, 30 flows, pause 0)\","
-        channel_duration_s channel_area_per_node;
-      "  \"method\": \"speedup = recorded scheduler-op trace replayed through each scheduler (no-op callbacks); sim_speedup = full simulation wall clock, where protocol+channel work common to both schedulers dominates\",";
-      "  \"alloc_history\": \"*_before values predate three hot-path trims: a cached immutable ACK frame per MAC (was one fresh record per unicast ACK), int division replacing Int64 arithmetic in Mac.on_medium airtime accounting, and a direct Payload.is_data match in the metrics transmit hook (was a classify allocation per frame)\",";
-      "  \"points\": [";
-      String.concat ",\n" (List.map point points);
-      "  ]";
-      "}";
-    ]
-
-let engine_scaling ~scale:_ () =
-  heading
-    "Engine scaling: binary-heap vs calendar-queue scheduler (identical outcomes)";
-  let scenarios =
-    List.map
-      (fun nodes -> (Printf.sprintf "%dn" nodes, nodes, channel_scenario ~nodes))
-      channel_node_counts
-    @ [
-        ( "fig5-100n-30f-p0",
-          100,
-          Scenario.paper_100 Scenario.ldr
-          |> Scenario.with_flows 30
-          |> Scenario.with_pause (Time.sec 0.)
-          |> Scenario.with_duration (Time.sec channel_duration_s) );
-      ]
-  in
-  let points =
-    List.map
-      (fun (label, nodes, sc) ->
-        let sim_heap_s, oh, h_minor, h_promoted =
-          timed_run (Scenario.with_heap_scheduler true sc)
-        in
-        let sim_cal_s, oc, c_minor, c_promoted = timed_run sc in
-        let identical = identical_outcomes oh oc in
-        if not identical then
-          Printf.printf "  !! %s: heap and calendar outcomes DIVERGE\n%!" label;
-        let trace = ref None in
-        ignore
-          (Runner.run
-             ~on_engine:(fun e -> trace := Some (Sim.Engine.record_trace e))
-             sc);
-        let trace = Option.get !trace in
-        let rh_s, rh_fired, rh_minor = timed_replay ~scheduler:`Heap trace in
-        let rc_s, rc_fired, rc_minor =
-          timed_replay ~scheduler:`Calendar trace
-        in
-        if
-          rh_fired <> Sim.Engine.Trace.pops trace
-          || rc_fired <> Sim.Engine.Trace.pops trace
-        then
-          Printf.printf "  !! %s: replay fired-event counts DIVERGE\n%!" label;
-        let ev = float_of_int oc.Runner.events_processed in
-        let pops = float_of_int (Sim.Engine.Trace.pops trace) in
-        {
-          ep_label = label;
-          ep_nodes = nodes;
-          ep_replay_heap_s = rh_s;
-          ep_replay_cal_s = rc_s;
-          ep_trace_ops = Sim.Engine.Trace.length trace;
-          ep_sim_heap_s = sim_heap_s;
-          ep_sim_cal_s = sim_cal_s;
-          ep_identical = identical;
-          ep_events = oc.Runner.events_processed;
-          ep_replay_heap_minor_per_ev = rh_minor /. pops;
-          ep_replay_cal_minor_per_ev = rc_minor /. pops;
-          ep_sim_heap_minor_per_ev = h_minor /. ev;
-          ep_sim_cal_minor_per_ev = c_minor /. ev;
-          ep_sim_heap_promoted_per_ev = h_promoted /. ev;
-          ep_sim_cal_promoted_per_ev = c_promoted /. ev;
-        })
-      scenarios
-  in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.ep_label;
-          Printf.sprintf "%.3f" p.ep_replay_heap_s;
-          Printf.sprintf "%.3f" p.ep_replay_cal_s;
-          Printf.sprintf "%.2fx" (p.ep_replay_heap_s /. p.ep_replay_cal_s);
-          Printf.sprintf "%.2fx" (p.ep_sim_heap_s /. p.ep_sim_cal_s);
-          (if p.ep_identical then "yes" else "NO");
-          Printf.sprintf "%.1f" p.ep_replay_heap_minor_per_ev;
-          Printf.sprintf "%.1f" p.ep_replay_cal_minor_per_ev;
-        ])
-      points
-  in
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "scenario"; "replay heap s"; "replay cal s"; "speedup";
-           "sim speedup"; "identical"; "minW/ev heap"; "minW/ev cal" ]
-       rows);
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (engine_bench_json points);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_engine.json)\n%!"
 
 (* ---- Observability overhead: disabled bus vs null sink vs JSONL --------- *)
 
@@ -1930,9 +1518,7 @@ let all_experiments =
     ("ablation", ablation);
     ("aggregation", aggregation);
     ("discovery", discovery);
-    ("channel", channel_scaling);
     ("scale", scale_bench);
-    ("engine", engine_scaling);
     ("obs", obs_overhead);
     ("parallel", parallel_sweep);
     ("pdes", pdes_bench);
@@ -1943,7 +1529,7 @@ let all_experiments =
 let () =
   (* A benchmarking-sized minor heap (32 MB): the simulator's steady
      allocation rate otherwise makes minor-collection pauses a visible
-     fraction of every measurement, for both channel modes alike. *)
+     fraction of every measurement. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref default_scale in
@@ -1964,7 +1550,7 @@ let () =
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery channel scale engine obs parallel pdes codec mcheck bechamel all --full --quick --csv=DIR)\n"
+            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery scale obs parallel pdes codec mcheck bechamel all --full --quick --csv=DIR)\n"
             other;
           exit 2)
     args;

@@ -171,7 +171,7 @@ let shards =
            crossing latency is documented for the rest.  0 = one shard \
            per recommended core, capped at the node count.")
 
-(* --- world options: mobility family, link model, churn, state layout --- *)
+(* --- world options: mobility family, link model, churn, partition --- *)
 
 let mobility_conv =
   let parse s =
@@ -261,26 +261,15 @@ let partition =
           "Drop an opaque wall across the terrain's vertical midline from \
            second $(docv) T1 until it heals at T2.")
 
-let soa =
-  Arg.(
-    value & flag
-    & info [ "soa" ]
-        ~doc:
-          "Struct-of-arrays node state: positions in shared unboxed float \
-           arrays behind an incrementally-maintained spatial index.  \
-           Outcomes are byte-identical to the default layout; the win is \
-           allocation and cache behaviour at large node counts.")
-
 type world_opts = {
   w_mobility : Scenario.mobility;
   w_shadowing : Scenario.shadowing option;
   w_churn : Scenario.churn option;
   w_partition : Scenario.partition option;
-  w_soa : bool;
 }
 
 let world_term =
-  let make w_mobility sigma churn partition w_soa =
+  let make w_mobility sigma churn partition =
     {
       w_mobility;
       w_shadowing =
@@ -300,10 +289,9 @@ let world_term =
               part_x_frac = 0.5;
             })
           partition;
-      w_soa;
     }
   in
-  Term.(const make $ mobility $ shadow $ churn $ partition $ soa)
+  Term.(const make $ mobility $ shadow $ churn $ partition)
 
 let trials =
   Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point (sweep).")
@@ -329,7 +317,6 @@ let default_world =
     w_shadowing = None;
     w_churn = None;
     w_partition = None;
-    w_soa = false;
   }
 
 let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
@@ -355,15 +342,21 @@ let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
-    heap_scheduler = false;
     shards;
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
     partition = world.w_partition;
-    soa = world.w_soa;
   }
+
+(* Build what the command will run, turning a scenario the simulator
+   rejects ([Invalid_argument]: too few nodes, a bad packet rate, a
+   negative duration, ...) into a usage error instead of an uncaught
+   exception. *)
+let validated build k =
+  match build () with
+  | exception Invalid_argument msg -> `Error (true, msg)
+  | x -> `Ok (k x)
 
 (* Hand-rolled JSON: the trace schema is flat and the container ships no
    JSON library.  NaN (empty latency samples) must become null — NaN is
@@ -475,10 +468,15 @@ let run_cmd =
       seed audit trace json trace_out pcap_out monitor sample sample_out
       telemetry_out telemetry_prom telemetry_every inject_stale shards world =
     if trace then Trace.enable ();
-    let sc =
-      scenario ~shards ~world protocol nodes width height flows pps pause
-        speed_max duration seed audit
-    in
+    validated
+      (fun () ->
+        let sc =
+          scenario ~shards ~world protocol nodes width height flows pps pause
+            speed_max duration seed audit
+        in
+        Traffic.validate ~num_nodes:sc.num_nodes sc.traffic;
+        sc)
+    @@ fun sc ->
     if not json then
       Format.printf
         "%s: %d nodes on %.0fx%.0fm, %d flows @ %g pps, pause %gs, %gs@."
@@ -512,10 +510,12 @@ let run_cmd =
   in
   let term =
     Term.(
-      const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
-      $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
-      $ pcap_out $ monitor $ sample $ sample_out $ telemetry_out
-      $ telemetry_prom $ telemetry_every $ inject_stale $ shards $ world_term)
+      ret
+        (const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
+       $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
+       $ pcap_out $ monitor $ sample $ sample_out $ telemetry_out
+       $ telemetry_prom $ telemetry_every $ inject_stale $ shards $ world_term
+        ))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario and print its metrics.") term
 
@@ -524,16 +524,22 @@ let sweep_cmd =
       trials pauses audit jobs world =
     (* The whole (pause x seed) matrix is one parallel batch; results
        merge in seed order, so any --jobs value prints the same table. *)
-    let base =
-      scenario ~world protocol nodes width height flows pps 0. speed_max
-        duration seed audit
-    in
-    let points =
-      List.map
-        (fun pause (sc : Experiment.Scenario.t) ->
-          { sc with Experiment.Scenario.pause = Time.sec pause })
-        pauses
-    in
+    validated
+      (fun () ->
+        let base =
+          scenario ~world protocol nodes width height flows pps 0. speed_max
+            duration seed audit
+        in
+        Traffic.validate ~num_nodes:base.num_nodes base.traffic;
+        let points =
+          List.map
+            (fun pause ->
+              let pause = Time.sec pause in
+              fun (sc : Scenario.t) -> { sc with Scenario.pause })
+            pauses
+        in
+        (base, points))
+    @@ fun (base, points) ->
     let series = Sweep.run ~jobs base ~points ~trials in
     let rows =
       List.map2
@@ -562,9 +568,10 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const action $ protocol $ nodes $ width $ height $ flows $ pps
-      $ speed_max $ duration $ seed $ trials $ pauses $ audit $ jobs
-      $ world_term)
+      ret
+        (const action $ protocol $ nodes $ width $ height $ flows $ pps
+       $ speed_max $ duration $ seed $ trials $ pauses $ audit $ jobs
+       $ world_term))
   in
   Cmd.v
     (Cmd.info "sweep"

@@ -28,14 +28,11 @@ let scenario protocol seed =
     net = Net.Params.default;
     seed;
     audit_loops = true;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let run name protocol =

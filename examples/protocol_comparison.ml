@@ -28,14 +28,11 @@ let scenario protocol =
     net = Net.Params.default;
     seed = 11;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let () =

@@ -32,14 +32,11 @@ let () =
       net = Net.Params.default;
       seed = 7;
       audit_loops = true;
-      naive_channel = false;
-      heap_scheduler = false;
       shards = 1;
       mobility = Scenario.Waypoint;
       shadowing = None;
       churn = None;
       partition = None;
-      soa = false;
     }
   in
   let outcome = Runner.run scenario in

@@ -124,6 +124,15 @@ let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
       done);
   mobs
 
+(* The world every channel and MAC of a run is built over.  On a sharded
+   run one store is shared by every region's channel: node [i]'s row is
+   only ever refreshed by events on its home shard (its radio is
+   attached to that channel alone) or at quiesced window boundaries, so
+   rows are touched by one domain per window. *)
+let make_nodes (sc : Scenario.t) mobs =
+  Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
+    ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
+
 (* Fresh per call: on a sharded run every region's channel gets its own
    instance (the shadowing memo table is not shared across domains), all
    drawing identical per-pair gains from the same scenario seed. *)
@@ -187,11 +196,7 @@ let plan_churn (sc : Scenario.t) ~(schedule : int -> Time.t -> (unit -> unit) ->
       done
 
 let build ?on_engine ?obs (sc : Scenario.t) =
-  let engine =
-    Engine.create ~seed:sc.seed
-      ~scheduler:(if sc.heap_scheduler then `Heap else `Calendar)
-      ()
-  in
+  let engine = Engine.create ~seed:sc.seed () in
   (* Instrumentation hook (e.g. [Engine.record_trace] in the engine
      benchmark), called before anything is scheduled so setup-time
      events are captured too. *)
@@ -213,26 +218,11 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let n = sc.num_nodes in
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
-  let nodes =
-    if sc.soa then
-      Some
-        (Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-           ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero)
-    else None
-  in
+  let nodes = make_nodes sc mobs in
   let channel =
     Net.Channel.create ~engine
-      ~mode:
-        (if sc.soa then Net.Channel.Soa
-         else if sc.naive_channel then Net.Channel.Naive
-         else Net.Channel.Grid)
       ~max_speed:(Float.max sc.speed_max 0.)
-      ?world:
-        (Option.map
-           (fun nd ->
-             (Net.Nodes.store nd, Net.Nodes.width nd, Net.Nodes.height nd))
-           nodes)
-      ?link:(make_link sc) ~obs:bus ~params:sc.net ()
+      ~world:nodes ?link:(make_link sc) ~obs:bus ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);
@@ -243,11 +233,9 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let macs = ref [] in
   for i = 0 to n - 1 do
     let id = Node_id.of_int i in
-    let mob = mobs.(i) in
-    let position () = Mobility.position mob (Engine.now engine) in
     let mac =
-      Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id ~position
-        ?world:(Option.map (fun nd -> (nd, i)) nodes)
+      Net.Mac.create ~engine ~channel ~rng:(Rng.split root) ~id
+        ~world:(nodes, i)
         {
           Net.Mac.receive =
             (fun payload ~from ->
@@ -324,11 +312,10 @@ let build ?on_engine ?obs (sc : Scenario.t) =
      time against the churn plan, whose toggles are events at exact
      virtual times — so the classic and sharded paths agree on exactly
      which originations are skipped. *)
-  let down = Array.make n false in
   Traffic.setup ~engine ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
     ~until:sc.duration
     ~emit:(fun ~src msg ->
-      if not down.(Node_id.to_int src) then begin
+      if Net.Nodes.up nodes (Node_id.to_int src) then begin
         span_originate ~src msg;
         Metrics.data_originated metrics msg;
         agents.(Node_id.to_int src).Routing.Agent.origin_data msg
@@ -336,14 +323,12 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   plan_churn sc
     ~schedule:(fun _i at fn -> ignore (Engine.at engine at fn))
     ~take_down:(fun i ~crash ->
-      down.(i) <- true;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i false | None -> ());
+      Net.Nodes.set_up nodes i false;
       Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) false;
       Net.Mac.set_down mac_arr.(i) true;
       agents.(i).Routing.Agent.reset ~crash)
     ~bring_up:(fun i ->
-      down.(i) <- false;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i true | None -> ());
+      Net.Nodes.set_up nodes i true;
       Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) true;
       Net.Mac.set_down mac_arr.(i) false);
   let injected = ref 0 in
@@ -457,10 +442,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
   if n = 0 then invalid_arg "Runner.run: a sharded run needs nodes";
   let part = Geom.Partition.stripes ~terrain:sc.terrain ~k in
   let lookahead = lookahead_of sc.net in
-  let scheduler = if sc.heap_scheduler then `Heap else `Calendar in
-  let engines =
-    Array.init k (fun _ -> Engine.create ~seed:sc.seed ~scheduler ())
-  in
+  let engines = Array.init k (fun _ -> Engine.create ~seed:sc.seed ()) in
   (* The monitor and the loop auditor read other regions' routing
      tables at event time, not just at quiesced boundaries; that is
      only race-free (and deterministic) when one worker domain runs
@@ -483,32 +465,11 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
   let traffic_rng = Rng.split root in
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
-  (* One global position store shared by every region's channel: node
-     [i]'s row is only ever refreshed by events on its home shard (its
-     radio is attached to that channel alone) or at quiesced window
-     boundaries, so rows are touched by one domain per window. *)
-  let nodes =
-    if sc.soa then
-      Some
-        (Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-           ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero)
-    else None
-  in
-  let world =
-    Option.map
-      (fun nd ->
-        (Net.Nodes.store nd, Net.Nodes.width nd, Net.Nodes.height nd))
-      nodes
-  in
+  let nodes = make_nodes sc mobs in
   let channels =
     Array.init k (fun r ->
-        Net.Channel.create ~engine:engines.(r)
-          ~mode:
-            (if sc.soa then Net.Channel.Soa
-             else if sc.naive_channel then Net.Channel.Naive
-             else Net.Channel.Grid)
-          ~max_speed ?world ?link:(make_link sc) ~obs:buses.(r)
-          ~params:sc.net ())
+        Net.Channel.create ~engine:engines.(r) ~max_speed ~world:nodes
+          ?link:(make_link sc) ~obs:buses.(r) ~params:sc.net ())
   in
   Array.iteri
     (fun r ch ->
@@ -530,12 +491,9 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
     let engine = engines.(r) in
     let bus = buses.(r) in
     let metrics = shard_metrics.(r) in
-    let mob = mobs.(i) in
-    let position () = Mobility.position mob (Engine.now engine) in
     let mac =
       Net.Mac.create ~engine ~channel:channels.(r) ~rng:(Rng.split root) ~id
-        ~position
-        ?world:(Option.map (fun nd -> (nd, i)) nodes)
+        ~world:(nodes, i)
         {
           Net.Mac.receive =
             (fun payload ~from ->
@@ -601,7 +559,6 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
   (* The classic path draws the workload lazily while the clock runs;
      [Traffic.plan] makes the identical draws up front (same stream,
      same order) so each flow can be armed on its source's engine. *)
-  let down = Array.make n false in
   let flows =
     Traffic.plan ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
       ~until:sc.duration
@@ -611,7 +568,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
       let r = home.(Node_id.to_int f.Traffic.f_src) in
       Traffic.arm ~engine:engines.(r) ~config:sc.traffic
         ~emit:(fun ~src msg ->
-          if not down.(Node_id.to_int src) then begin
+          if Net.Nodes.up nodes (Node_id.to_int src) then begin
             (if Obs.Bus.on buses.(r) then
                Obs.Bus.span buses.(r)
                  ~time:(Engine.now engines.(r))
@@ -631,8 +588,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
   plan_churn sc
     ~schedule:(fun i at fn -> ignore (Engine.at engines.(home.(i)) at fn))
     ~take_down:(fun i ~crash ->
-      down.(i) <- true;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i false | None -> ());
+      Net.Nodes.set_up nodes i false;
       Net.Channel.set_attached
         channels.(home.(i))
         (Net.Mac.radio mac_arr.(i))
@@ -640,8 +596,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
       Net.Mac.set_down mac_arr.(i) true;
       agents.(i).Routing.Agent.reset ~crash)
     ~bring_up:(fun i ->
-      down.(i) <- false;
-      (match nodes with Some nd -> Net.Nodes.set_up nd i true | None -> ());
+      Net.Nodes.set_up nodes i true;
       Net.Channel.set_attached
         channels.(home.(i))
         (Net.Mac.radio mac_arr.(i))
@@ -664,14 +619,9 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
       (* Runs at quiesced boundaries only, so touching every store row
          from the coordinator is race-free; per-row queries stay
          monotone (every shard's clock is exactly [t_now]). *)
-      let x =
-        match nodes with
-        | Some nd ->
-            let st = Net.Nodes.store nd in
-            Mobility.Pos_store.refresh st i t_now;
-            Mobility.Pos_store.x st i
-        | None -> (Mobility.position mobs.(i) t_now).Geom.Vec2.x
-      in
+      let st = Net.Nodes.store nodes in
+      Mobility.Pos_store.refresh st i t_now;
+      let x = Mobility.Pos_store.x st i in
       let r = home.(i) in
       if x < band_lo.(r) then band_lo.(r) <- x;
       if x > band_hi.(r) then band_hi.(r) <- x
@@ -687,7 +637,7 @@ let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
   Array.iteri
     (fun q ch ->
       Net.Channel.set_remote ch ~grace (fun frame ~src ~duration ->
-          let pos = Net.Channel.radio_pos src in
+          let pos = Net.Channel.radio_pos ch src in
           let x = pos.Geom.Vec2.x in
           let arrival = Time.add (Engine.now engines.(q)) lookahead in
           let src_id = Net.Channel.radio_id src in

@@ -90,8 +90,6 @@ type t = {
   net : Net.Params.t;
   seed : int;
   audit_loops : bool;
-  naive_channel : bool;
-  heap_scheduler : bool;
   shards : int;
       (* <= 1: classic single-engine run; K >= 2: spatially-sharded
          PDES across K regions; 0: auto (recommended domains, capped) *)
@@ -99,10 +97,6 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
-  soa : bool;
-      (* route node state through the struct-of-arrays hot path
-         (Net.Nodes + Channel Soa mode); outcomes are byte-identical
-         to the record path, so this is purely a performance axis *)
 }
 
 let paper_50 protocol =
@@ -120,14 +114,11 @@ let paper_50 protocol =
     net = Net.Params.default;
     seed = 1;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let paper_100 protocol =
@@ -164,12 +155,9 @@ let with_flows n t = { t with traffic = { t.traffic with Traffic.num_flows = n }
 let with_pause pause t = { t with pause }
 let with_duration duration t = { t with duration }
 let with_seed seed t = { t with seed }
-let with_naive_channel naive_channel t = { t with naive_channel }
-let with_heap_scheduler heap_scheduler t = { t with heap_scheduler }
 let with_shards shards t = { t with shards }
 let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }
 let with_partition partition t = { t with partition }
-let with_soa soa t = { t with soa }
 let scaled ~duration t = { t with duration }

@@ -101,15 +101,6 @@ type t = {
   audit_loops : bool;
       (** audit the successor graph for loops at every routing-table
           change (expensive; tests and the loop-check example use it) *)
-  naive_channel : bool;
-      (** use the O(nodes)-per-transmission linear-scan channel instead
-          of the spatial grid — differential tests and the scaling
-          benchmark only; outcomes are byte-identical either way *)
-  heap_scheduler : bool;
-      (** drive the engine with the reference binary-heap event queue
-          instead of the calendar queue — differential tests and the
-          engine benchmark only; outcomes are event-for-event
-          identical either way *)
   shards : int;
       (** [<= 1] (default 1): classic single-engine run.  [K >= 2]:
           spatially-sharded conservative PDES — the arena splits into K
@@ -122,13 +113,6 @@ type t = {
   shadowing : shadowing option;
   churn : churn option;
   partition : partition option;
-  soa : bool;
-      (** route node state through the struct-of-arrays hot path:
-          positions in a shared {!Mobility.Pos_store}, candidates from
-          the incremental {!Geom.Cell_index}, MAC counters in flat
-          {!Net.Nodes} planes.  Outcomes are byte-identical to the
-          record path (default [false]) — a pure performance axis,
-          differential-tested in [test_world.ml]. *)
 }
 
 val paper_50 : protocol -> t
@@ -144,13 +128,10 @@ val with_flows : int -> t -> t
 val with_pause : Sim.Time.t -> t -> t
 val with_duration : Sim.Time.t -> t -> t
 val with_seed : int -> t -> t
-val with_naive_channel : bool -> t -> t
-val with_heap_scheduler : bool -> t -> t
 val with_shards : int -> t -> t
 val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t
 val with_partition : partition option -> t -> t
-val with_soa : bool -> t -> t
 val scaled : duration:Sim.Time.t -> t -> t
 (** Shorten a paper scenario for laptop-scale reproduction. *)

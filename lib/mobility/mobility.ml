@@ -368,8 +368,8 @@ let rpgm_member group ~ox ~oy =
    indexed by node id.  The common query — interpolate inside the current
    leg — runs entirely on scalars with zero allocation; only when a query
    passes the cached leg's arrival does it fall back to the underlying
-   process, which advances legs and draws RNG in exactly the record
-   path's per-node order.  Values are bit-identical to {!position} by
+   process, which advances legs and draws RNG in its own per-node
+   order.  Values are bit-identical to {!position} by
    construction: the scalar fast path replicates [position_on] +
    [Vec2.lerp] term for term. *)
 module Pos_store = struct
@@ -429,8 +429,8 @@ module Pos_store = struct
     if tn <> s.last_t.(i) then begin
       s.last_t.(i) <- tn;
       if tn > s.arrive.(i) then begin
-        (* Leg exhausted: advance the underlying process (RNG draws in
-           the record path's per-node order) and re-cache its leg. *)
+        (* Leg exhausted: advance the underlying process (its own
+           per-node RNG draws) and re-cache its leg. *)
         let p = position s.mob.(i) time in
         cache_leg s i;
         s.x.(i) <- p.Geom.Vec2.x;
@@ -445,7 +445,7 @@ module Pos_store = struct
            local float arithmetic rather than [Time.to_sec]/[Time.diff]:
            the cross-module calls box their float results on the classic
            (non-flambda) compiler, and this is the hottest loop in the
-           SoA sweep.  [to_sec] is [float_of_int ns /. 1e9], so the
+           channel's resync sweep.  [to_sec] is [float_of_int ns /. 1e9], so the
            rounding is term-for-term identical. *)
         let dep = s.depart.(i) in
         let total = float_of_int (s.arrive.(i) - dep) /. 1e9 in

@@ -21,9 +21,8 @@ type rx = {
 
 and radio = {
   id : Node_id.t;
-  seq : int;  (** attach order; fixes query ordering across index modes *)
-  idx : int;  (** SoA slot (node id); -1 when not backed by a store *)
-  position : unit -> Geom.Vec2.t;
+  seq : int;  (** attach order; candidates are ordered newest first *)
+  idx : int;  (** slot in the world's position store; -1 for a phantom *)
   mutable attached : bool;
       (** false while the node is down (churn): the radio is skipped as
           a reception candidate and dropped from the spatial index *)
@@ -40,8 +39,6 @@ and radio = {
 
 let dummy_frame =
   { Frame.src = Node_id.of_int 0; dst = Frame.Broadcast; body = Frame.Ack }
-
-let dummy_pos = Geom.Vec2.v 0. 0.
 
 (* Sentinels, compared physically.  [no_rx]/[dummy_radio] are mutually
    recursive so an idle radio and a free rx slot can point at them
@@ -61,7 +58,6 @@ and dummy_radio =
     id = Node_id.of_int 0;
     seq = -1;
     idx = -1;
-    position = (fun () -> dummy_pos);
     attached = false;
     receive = ignore;
     medium = ignore;
@@ -81,12 +77,10 @@ let new_rx () =
     rx_radio = dummy_radio;
   }
 
-type mode = Naive | Grid | Soa
-
-(* How far a radio's true position may drift from its bucketed position
-   before the grid is rebuilt.  Queries are inflated by the current drift
-   bound, so any margin is exact; smaller margins rebuild more often,
-   larger ones scan more cells. *)
+(* How far a radio's true position may drift from its indexed position
+   before the index is resynced.  Queries are inflated by the current
+   drift bound, so any margin is exact; smaller margins resync more
+   often, larger ones scan more cells. *)
 let slack_margin_m = 25.
 
 (* One in-flight transmission: the source plus the touched radios'
@@ -101,25 +95,27 @@ type tx_job = {
   job_owner : t;
 }
 
+(* Positions come from the shared [Pos_store] planes and cell membership
+   is maintained incrementally (ids only; the exact filter reads live
+   store positions).  [slots] maps a store slot back to its radio —
+   [dummy_radio] until that slot attaches. *)
 and t = {
   engine : Engine.t;
   params : Params.t;
-  mode : mode;
   max_speed : float option;
-      (* [Some v]: no radio moves faster than [v] m/s, so bucketed
+      (* [Some v]: no radio moves faster than [v] m/s, so indexed
          positions age at a known rate.  [None]: unknown speeds — the
-         grid is rebuilt whenever the clock has advanced, which is exact
-         for any mobility and still no worse than a naive scan. *)
-  mutable radios : radio list;  (* newest first *)
+         index is resynced whenever the clock has advanced, which is
+         exact for any mobility. *)
   mutable next_seq : int;
-  mutable detached : int;  (* radios with [attached = false] *)
-  grid : radio Geom.Grid.t;
-  world : world option;  (* Some iff [mode = Soa] *)
+  store : Mobility.Pos_store.t;
+  index : Geom.Cell_index.t;
+  slots : radio array;
   link : Link_model.t option;
       (* None on the classic unit disk — the propagate fast path then
          skips every per-candidate gain/wall lookup *)
-  mutable grid_built_at : Time.t;
-  mutable grid_fresh : bool;
+  mutable synced_at : Time.t;
+  mutable fresh : bool;
   mutable hooks : (Node_id.t -> Frame.t -> unit) list;
   mutable tx_total : int;
   mutable job_pool : tx_job array;
@@ -133,17 +129,7 @@ and t = {
   mutable remote_grace : Time.t;
 }
 
-(* SoA backing: positions come from the shared [Pos_store] planes and
-   cell membership is maintained incrementally (ids only; the exact
-   filter reads live store positions).  [w_radios] maps a store slot
-   back to its radio — [dummy_radio] until that slot attaches. *)
-and world = {
-  w_store : Mobility.Pos_store.t;
-  w_index : Geom.Cell_index.t;
-  w_radios : radio array;
-}
-
-let create ~engine ?(mode = Grid) ?max_speed ?obs ?world ?link ~params () =
+let create ~engine ?max_speed ?obs ~world ?link ~params () =
   (* Cell side = half the carrier-sense range: a CS-disk query scans
      ~25 cells, but the cells hug the disk, so the candidate superset
      is ~1.7x the true disk population (a full-range cell side gives
@@ -151,32 +137,20 @@ let create ~engine ?(mode = Grid) ?max_speed ?obs ?world ?link ~params () =
      checks per query, which dominate now that cells are one array
      load each). *)
   let cell = params.Params.cs_range_m /. 2. in
-  let world =
-    match (mode, world) with
-    | Soa, Some (store, width, height) ->
-        let n = Mobility.Pos_store.length store in
-        Some
-          {
-            w_store = store;
-            w_index = Geom.Cell_index.create ~cell ~width ~height ~ids:n;
-            w_radios = Array.make n dummy_radio;
-          }
-    | Soa, None -> invalid_arg "Channel.create: Soa mode needs a world"
-    | (Naive | Grid), _ -> None
-  in
+  let n = Nodes.length world in
   {
     engine;
     params;
-    mode;
     max_speed;
-    radios = [];
     next_seq = 0;
-    detached = 0;
-    grid = Geom.Grid.create ~cell;
-    world;
+    store = Nodes.store world;
+    index =
+      Geom.Cell_index.create ~cell ~width:(Nodes.width world)
+        ~height:(Nodes.height world) ~ids:n;
+    slots = Array.make n dummy_radio;
     link;
-    grid_built_at = Time.zero;
-    grid_fresh = false;
+    synced_at = Time.zero;
+    fresh = false;
     hooks = [];
     tx_total = 0;
     job_pool = [||];
@@ -194,19 +168,19 @@ let remote_grace t = t.remote_grace
 let crossed r = r.crossed
 
 let params t = t.params
-let mode t = t.mode
 let obs t = t.obs
 
 let frame_dst_int (f : Frame.t) =
   match f.dst with Frame.Broadcast -> -1 | Frame.Unicast d -> Node_id.to_int d
 
-let attach t ?(idx = -1) ~id ~position () =
+let attach t ~idx ~id =
+  if t.slots.(idx) != dummy_radio then
+    invalid_arg "Channel.attach: store slot already attached";
   let r =
     {
       id;
       seq = t.next_seq;
       idx;
-      position;
       attached = true;
       receive = ignore;
       medium = ignore;
@@ -217,18 +191,17 @@ let attach t ?(idx = -1) ~id ~position () =
     }
   in
   t.next_seq <- t.next_seq + 1;
-  t.radios <- r :: t.radios;
-  (match t.world with
-  | Some w when idx >= 0 -> w.w_radios.(idx) <- r
-  | Some _ -> invalid_arg "Channel.attach: Soa mode needs a store slot (idx)"
-  | None -> ());
-  t.grid_fresh <- false;
+  t.slots.(idx) <- r;
+  t.fresh <- false;
   r
 
 let set_receiver r f = r.receive <- f
 let set_medium_listener r f = r.medium <- f
 let radio_id r = r.id
-let radio_pos r = r.position ()
+
+let radio_pos t r =
+  Mobility.Pos_store.position t.store r.idx (Engine.now t.engine)
+
 let transmitting r = r.tx_count > 0
 
 let carrier_busy r = r.busy_count > 0 || r.tx_count > 0
@@ -262,11 +235,10 @@ let free_job t job =
   t.job_free <- t.job_free + 1
 
 (* Append a touched radio, keeping entries sorted by attach seq
-   descending — the set and order a naive scan of [t.radios] (newest
-   first) produces, so grid and naive modes stay byte-identical.  The
-   naive path appends in already-descending order (zero shifts); grid
-   candidates arrive in cell order and insertion-sort into place, a
-   handful of pointer rotations for the few radios a disk holds. *)
+   descending (newest first), so the order does not depend on how the
+   index happens to visit cells.  Candidates arrive in cell order and
+   insertion-sort into place, a handful of pointer rotations for the
+   few radios a disk holds. *)
 let job_add job r d2 gain =
   let n = job.job_n in
   if n = Array.length job.job_rxs then
@@ -289,53 +261,41 @@ let job_add job r d2 gain =
 
 (* ---- Spatial index ----------------------------------------------------- *)
 
-(* Upper bound on how far any radio may be from where the grid bucketed
+(* Upper bound on how far any radio may be from where the index placed
    it.  With a known speed bound this is speed x age; with an unknown one
-   [refresh] rebuilds on every clock advance, so the drift is zero. *)
+   [refresh] resyncs on every clock advance, so the drift is zero. *)
 let drift_bound t =
   match t.max_speed with
   | None -> 0.
   | Some v ->
-      let age = Time.diff (Engine.now t.engine) t.grid_built_at in
+      let age = Time.diff (Engine.now t.engine) t.synced_at in
       if Time.equal age Time.zero then 0. else v *. Time.to_sec age
 
-let rebuild_grid t =
-  let batch =
-    if t.detached = 0 then t.radios
-    else List.filter (fun r -> r.attached) t.radios
-  in
-  Geom.Grid.build t.grid ~pos:(fun r -> r.position ()) batch;
-  t.grid_built_at <- Engine.now t.engine;
-  t.grid_fresh <- true
-
-(* SoA resync: refresh every attached slot's store position in place
-   (a scalar lerp unless the leg advanced) and move it between cells
-   only when its cell changed — O(n) float work, no rebuild, no
+(* Resync: refresh every attached slot's store position in place (a
+   scalar lerp unless the leg advanced) and move it between cells only
+   when its cell changed — O(n) float work, no rebuild, no
    allocation. *)
-let sweep_soa t w =
+let resync t =
   let now = Engine.now t.engine in
-  let store = w.w_store and index = w.w_index in
-  for i = 0 to Array.length w.w_radios - 1 do
-    let r = Array.unsafe_get w.w_radios i in
+  let store = t.store and index = t.index in
+  for i = 0 to Array.length t.slots - 1 do
+    let r = Array.unsafe_get t.slots i in
     if r.attached then begin
       Mobility.Pos_store.refresh store i now;
       Geom.Cell_index.update index i ~x:(Mobility.Pos_store.x store i)
         ~y:(Mobility.Pos_store.y store i)
     end
   done;
-  t.grid_built_at <- now;
-  t.grid_fresh <- true
-
-let resync t =
-  match t.world with Some w -> sweep_soa t w | None -> rebuild_grid t
+  t.synced_at <- now;
+  t.fresh <- true
 
 (* Resync the index if stale; returns the post-resync drift bound so
    queries pay for at most one clock-to-seconds conversion. *)
 let refresh t =
-  if not t.grid_fresh then resync t;
+  if not t.fresh then resync t;
   match t.max_speed with
   | None ->
-      if Time.(Engine.now t.engine > t.grid_built_at) then resync t;
+      if Time.(Engine.now t.engine > t.synced_at) then resync t;
       0.
   | Some _ ->
       let b = drift_bound t in
@@ -345,42 +305,32 @@ let refresh t =
       end
       else b
 
-(* Churn: a detached radio stops being a reception candidate in every
-   index mode and is dropped from the incremental index immediately;
-   frames already locked on it are discarded by the down-gated MAC.
-   Reattaching re-inserts it at its current position. *)
+(* Churn: a detached radio stops being a reception candidate and is
+   dropped from the index immediately; frames already locked on it are
+   discarded by the down-gated MAC.  Reattaching re-inserts it at its
+   current position. *)
 let set_attached t r v =
   if r.attached <> v then begin
     r.attached <- v;
-    t.detached <- (if v then t.detached - 1 else t.detached + 1);
-    match t.world with
-    | Some w when r.idx >= 0 ->
-        if v then begin
-          Mobility.Pos_store.refresh w.w_store r.idx (Engine.now t.engine);
-          Geom.Cell_index.update w.w_index r.idx
-            ~x:(Mobility.Pos_store.x w.w_store r.idx)
-            ~y:(Mobility.Pos_store.y w.w_store r.idx)
-        end
-        else Geom.Cell_index.remove w.w_index r.idx
-    | Some _ | None -> t.grid_fresh <- false
+    if v then begin
+      Mobility.Pos_store.refresh t.store r.idx (Engine.now t.engine);
+      Geom.Cell_index.update t.index r.idx
+        ~x:(Mobility.Pos_store.x t.store r.idx)
+        ~y:(Mobility.Pos_store.y t.store r.idx)
+    end
+    else Geom.Cell_index.remove t.index r.idx
   end
 
 let attached r = r.attached
 
 (* Spatial-index health gauges (Obs.Telemetry). *)
 let index_stats t =
-  match (t.mode, t.world) with
-  | Soa, Some w ->
-      let s = Geom.Cell_index.stats w.w_index in
-      (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
-  | _ ->
-      let s = Geom.Grid.stats t.grid in
-      (s.Geom.Grid.cells, s.occupied, s.max_occupancy)
+  let s = Geom.Cell_index.stats t.index in
+  (s.Geom.Cell_index.cells, s.occupied, s.max_occupancy)
 
-(* Grid queries visit each candidate exactly once, applying the exact
-   range predicate against live positions; survivors are ordered by
-   attach sequence, newest first — the exact set and order a naive scan
-   of [t.radios] produces.  The query disk is inflated by the drift
+(* Queries visit each candidate exactly once, applying the exact range
+   predicate against live positions; survivors are ordered by attach
+   sequence, newest first.  The query disk is inflated by the drift
    bound, so the candidate superset always covers the true disk
    population; per-seed determinism therefore does not depend on the
    index. *)
@@ -390,42 +340,23 @@ let rec ins_radio x l =
   | (y :: tl) as full -> if x.seq > y.seq then x :: full else y :: ins_radio x tl
 
 let neighbors_in_range t r =
-  let center = r.position () in
+  let now = Engine.now t.engine in
+  let store = t.store in
+  Mobility.Pos_store.refresh store r.idx now;
+  let cx = Mobility.Pos_store.x store r.idx
+  and cy = Mobility.Pos_store.y store r.idx in
   let rng2 = t.params.range_m *. t.params.range_m in
-  match (t.mode, t.world) with
-  | Naive, _ ->
-      List.filter_map
-        (fun other ->
-          if
-            other != r && other.attached
-            && Geom.Vec2.dist2 center (other.position ()) <= rng2
-          then Some other.id
-          else None)
-        t.radios
-  | (Grid | Soa), None ->
-      let radius = t.params.range_m +. refresh t in
-      let acc = ref [] in
-      Geom.Grid.iter_disk t.grid ~center ~radius (fun other ->
-          if
-            other != r && other.attached
-            && Geom.Vec2.dist2 center (other.position ()) <= rng2
-          then acc := ins_radio other !acc);
-      List.map (fun o -> o.id) !acc
-  | (Grid | Soa), Some w ->
-      let radius = t.params.range_m +. refresh t in
-      let now = Engine.now t.engine in
-      let acc = ref [] in
-      Geom.Cell_index.iter_disk w.w_index ~x:center.Geom.Vec2.x
-        ~y:center.Geom.Vec2.y ~radius (fun i ->
-          let other = w.w_radios.(i) in
-          if other != r && other.attached then begin
-            Mobility.Pos_store.refresh w.w_store i now;
-            let dx = Mobility.Pos_store.x w.w_store i -. center.Geom.Vec2.x
-            and dy = Mobility.Pos_store.y w.w_store i -. center.Geom.Vec2.y in
-            if (dx *. dx) +. (dy *. dy) <= rng2 then
-              acc := ins_radio other !acc
-          end);
-      List.map (fun o -> o.id) !acc
+  let radius = t.params.range_m +. refresh t in
+  let acc = ref [] in
+  Geom.Cell_index.iter_disk t.index ~x:cx ~y:cy ~radius (fun i ->
+      let other = t.slots.(i) in
+      if other != r && other.attached then begin
+        Mobility.Pos_store.refresh store i now;
+        let dx = Mobility.Pos_store.x store i -. cx
+        and dy = Mobility.Pos_store.y store i -. cy in
+        if (dx *. dx) +. (dy *. dy) <= rng2 then acc := ins_radio other !acc
+      end);
+  List.map (fun o -> o.id) !acc
 
 let add_transmit_hook t f = t.hooks <- t.hooks @ [ f ]
 let transmissions t = t.tx_total
@@ -510,62 +441,24 @@ let propagate t src ~sx ~sy frame ~duration =
      [tx_dist]; the delivery pass replaces it with [sqrt d2], which
      equals [Vec2.dist] bit-for-bit, so caching cannot change
      outcomes. *)
-  (match (t.mode, t.world) with
-  | Naive, _ | _, None -> (
-      match t.mode with
-      | Naive ->
-          List.iter
-            (fun r ->
-              if r != src && r.attached then begin
-                let p = r.position () in
-                let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                match link with
-                | None -> if d2 <= cs2 then job_add job r d2 1.
-                | Some l ->
-                    if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
-                    then begin
-                      let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                      if d2 <= cs2 *. (g *. g) then job_add job r d2 g
-                    end
-              end)
-            t.radios
-      | Grid | Soa ->
-          let radius = (t.params.cs_range_m *. inflate) +. refresh t in
-          Geom.Grid.iter_disk t.grid ~center:(Geom.Vec2.v sx sy) ~radius
-            (fun r ->
-              if r != src && r.attached then begin
-                let p = r.position () in
-                let dx = p.Geom.Vec2.x -. sx and dy = p.Geom.Vec2.y -. sy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                match link with
-                | None -> if d2 <= cs2 then job_add job r d2 1.
-                | Some l ->
-                    if not (Link_model.blocked l ~now ~x1:sx ~x2:p.Geom.Vec2.x)
-                    then begin
-                      let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                      if d2 <= cs2 *. (g *. g) then job_add job r d2 g
-                    end
-              end))
-  | _, Some w ->
-      let radius = (t.params.cs_range_m *. inflate) +. refresh t in
-      let store = w.w_store in
-      Geom.Cell_index.iter_disk w.w_index ~x:sx ~y:sy ~radius (fun i ->
-          let r = Array.unsafe_get w.w_radios i in
-          if r != src && r.attached then begin
-            Mobility.Pos_store.refresh store i now;
-            let ox = Mobility.Pos_store.x store i
-            and oy = Mobility.Pos_store.y store i in
-            let dx = ox -. sx and dy = oy -. sy in
-            let d2 = (dx *. dx) +. (dy *. dy) in
-            match link with
-            | None -> if d2 <= cs2 then job_add job r d2 1.
-            | Some l ->
-                if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
-                  let g = Link_model.gain l src_int (Node_id.to_int r.id) in
-                  if d2 <= cs2 *. (g *. g) then job_add job r d2 g
-                end
-          end));
+  let radius = (t.params.cs_range_m *. inflate) +. refresh t in
+  let store = t.store in
+  Geom.Cell_index.iter_disk t.index ~x:sx ~y:sy ~radius (fun i ->
+      let r = Array.unsafe_get t.slots i in
+      if r != src && r.attached then begin
+        Mobility.Pos_store.refresh store i now;
+        let ox = Mobility.Pos_store.x store i
+        and oy = Mobility.Pos_store.y store i in
+        let dx = ox -. sx and dy = oy -. sy in
+        let d2 = (dx *. dx) +. (dy *. dy) in
+        match link with
+        | None -> if d2 <= cs2 then job_add job r d2 1.
+        | Some l ->
+            if not (Link_model.blocked l ~now ~x1:sx ~x2:ox) then begin
+              let g = Link_model.gain l src_int (Node_id.to_int r.id) in
+              if d2 <= cs2 *. (g *. g) then job_add job r d2 g
+            end
+      end);
   let was_busy_src = carrier_busy src in
   src.tx_count <- src.tx_count + 1;
   if not was_busy_src then src.medium true;
@@ -621,18 +514,13 @@ let transmit t src frame ~duration =
       ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
   src.crossed <-
     (match t.remote with None -> false | Some fn -> fn frame ~src ~duration);
-  match t.world with
-  | Some w when src.idx >= 0 ->
-      (* SoA source: refresh the store row in place and read the scalar
-         planes — no Vec2 box per transmission. *)
-      Mobility.Pos_store.refresh w.w_store src.idx (Engine.now t.engine);
-      propagate t src
-        ~sx:(Mobility.Pos_store.x w.w_store src.idx)
-        ~sy:(Mobility.Pos_store.y w.w_store src.idx)
-        frame ~duration
-  | Some _ | None ->
-      let p = src.position () in
-      propagate t src ~sx:p.Geom.Vec2.x ~sy:p.Geom.Vec2.y frame ~duration
+  (* Refresh the store row in place and read the scalar planes — no
+     Vec2 box per transmission. *)
+  Mobility.Pos_store.refresh t.store src.idx (Engine.now t.engine);
+  propagate t src
+    ~sx:(Mobility.Pos_store.x t.store src.idx)
+    ~sy:(Mobility.Pos_store.y t.store src.idx)
+    frame ~duration
 
 (* Remote copy of a transmission whose source is homed on another shard.
    The phantom radio carries the source's id and position snapshot; it
@@ -645,7 +533,6 @@ let transmit_from t ~src_id ~pos frame ~duration =
       id = src_id;
       seq = -2;
       idx = -1;
-      position = (fun () -> pos);
       attached = true;
       receive = ignore;
       medium = ignore;

@@ -27,14 +27,12 @@ val create :
   channel:Channel.t ->
   rng:Sim.Rng.t ->
   id:Node_id.t ->
-  position:(unit -> Geom.Vec2.t) ->
-  ?world:Nodes.t * int ->
+  world:Nodes.t * int ->
   callbacks ->
   t
-(** [world] is the shared SoA state and this node's slot: the MAC then
-    writes its sent/failure/queue counters through the flat [Nodes]
-    planes (and registers its radio under that store slot), instead of
-    private record fields. *)
+(** [world] is the shared node state and this node's slot: the MAC
+    registers its radio under that store slot and writes its
+    sent/failure/queue counters through the flat [Nodes] planes. *)
 
 val send : t -> dst:Frame.dst -> Packets.Payload.t -> unit
 (** Enqueue a frame.  Silently dropped (counted) if the queue is full.

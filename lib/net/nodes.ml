@@ -1,12 +1,11 @@
-(* Struct-of-arrays per-node state for city-scale runs.
+(* Struct-of-arrays per-node state.
 
-   One flat object owns what used to live scattered across per-node heap
-   records: positions and mobility legs (via [Mobility.Pos_store]'s
-   unboxed float planes) and the MAC/ifq scalar counters as int arrays
-   indexed by node id.  [Net.Mac] writes its counters through these
-   cells when created with [~world]; the channel's SoA index mode reads
-   positions straight out of the store.  A metrics sweep over n nodes
-   then walks a handful of flat arrays instead of n record spines. *)
+   One flat object owns the per-node hot state: positions and mobility
+   legs (via [Mobility.Pos_store]'s unboxed float planes) and the
+   MAC/ifq scalar counters as int arrays indexed by node id.  [Net.Mac]
+   writes its counters through these cells; the channel reads positions
+   straight out of the store.  A metrics sweep over n nodes then walks a
+   handful of flat arrays instead of n record spines. *)
 
 type t = {
   store : Mobility.Pos_store.t;

@@ -10,7 +10,7 @@
     cancel-after-fire (or after recycling) a detected no-op.
 
     Ordering is (time, schedule sequence): same-instant events fire in
-    schedule order, matching {!Event_queue} event for event. *)
+    schedule order. *)
 
 type t
 

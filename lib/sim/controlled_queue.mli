@@ -6,7 +6,7 @@
     and choice* rather than throughput.  Two event classes:
 
     - {e timed} events (the default) carry an absolute firing time and
-      behave exactly like calendar/heap events: the earliest fires
+      behave exactly like calendar events: the earliest fires
       first, insertion order breaking ties.
     - {e floating} events model in-flight messages of an asynchronous
       system: they may fire at {e any} point at or after their creation

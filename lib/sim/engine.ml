@@ -1,22 +1,16 @@
-type scheduler = [ `Heap | `Calendar | `Controlled ]
+type scheduler = [ `Calendar | `Controlled ]
 
-(* The heap stays as the reference scheduler behind a flag (as the
-   naive channel did for the spatial grid): differential tests drive
-   both and demand event-for-event identical outcomes.  The controlled
-   set is the model checker's: introspectable pending events the
-   explorer picks from, with the default pop identical to calendar
-   order. *)
-type sched =
-  | Heap of Event_queue.t
-  | Cal of Calendar_queue.t
-  | Ctl of Controlled_queue.t
+(* The calendar queue runs every simulation.  The controlled set is the
+   model checker's: introspectable pending events the explorer picks
+   from, with the default pop identical to calendar order. *)
+type sched = Cal of Calendar_queue.t | Ctl of Controlled_queue.t
 
 (* A recorded scheduler workload: the exact sequence of schedule /
    cancel / pop operations a run performed, in execution order.  The
-   engine benchmark captures one from a scenario and replays it through
-   each scheduler in isolation, timing the engine hot path on the real
-   op mix — timing the full simulation instead would bury the scheduler
-   under the (shared, identical) protocol and channel work.
+   benchmark captures one from a scenario and replays it through a
+   fresh calendar engine in isolation, timing the engine hot path on
+   the real op mix — timing the full simulation instead would bury the
+   scheduler under the protocol and channel work.
 
    One byte of kind plus one int per op: 's' carries the absolute
    schedule time, 'p' the pop time, 'c' the index of the 's' op it
@@ -97,20 +91,17 @@ type t = {
   mutable trace : Trace.t option;
 }
 
-(* A handle is an immediate int (calendar: generation-packed slot
-   handle, never 0) or a heap handle record.  Storing both behind
-   [Obj.t] keeps the common case unboxed without a per-schedule variant
-   allocation; [cancel] tells them apart by the engine's own mode, and
-   [none] — the immediate 0 — is a valid "no timer" default for either. *)
-type handle = Obj.t
+(* A handle is an immediate int: the calendar's generation-packed slot
+   handle (never 0) or a controlled sequence id plus one.  [none] — 0 —
+   is a valid "no timer" default under either scheduler. *)
+type handle = int
 
-let none : handle = Obj.repr 0
-let is_none (h : handle) = h == Obj.repr 0
+let none = 0
+let is_none h = h = 0
 
 let create ?(seed = 1) ?(scheduler = `Calendar) () =
   let sched =
     match scheduler with
-    | `Heap -> Heap (Event_queue.create ())
     | `Calendar -> Cal (Calendar_queue.create ())
     | `Controlled -> Ctl (Controlled_queue.create ())
   in
@@ -118,7 +109,7 @@ let create ?(seed = 1) ?(scheduler = `Calendar) () =
 
 let record_trace t =
   match t.sched with
-  | Heap _ | Ctl _ ->
+  | Ctl _ ->
       invalid_arg "Engine.record_trace: only calendar engines can record"
   | Cal _ ->
       let tr = Trace.create () in
@@ -126,9 +117,9 @@ let record_trace t =
       tr
 
 let scheduler t =
-  match t.sched with Heap _ -> `Heap | Cal _ -> `Calendar | Ctl _ -> `Controlled
+  match t.sched with Cal _ -> `Calendar | Ctl _ -> `Controlled
 
-let controlled t = match t.sched with Ctl _ -> true | Heap _ | Cal _ -> false
+let controlled t = match t.sched with Ctl _ -> true | Cal _ -> false
 let now t = t.clock
 let rng t = t.rng
 
@@ -138,20 +129,19 @@ let check_past t time =
       (Printf.sprintf "Engine.at: scheduling in the past (%s < %s)"
          (Time.to_string time) (Time.to_string t.clock))
 
-let traced_handle t kind (h : int) (time : Time.t) =
+let traced_handle t kind h (time : Time.t) =
   (match t.trace with
   | None -> ()
   | Some tr -> Trace.record_sched tr kind h (time :> int));
-  Obj.repr h
+  h
 
 (* Controlled handles pack the queue's sequence id as [seq + 1] so seq 0
    stays distinguishable from [none]. *)
-let ctl_handle (seq : int) : handle = Obj.repr (seq + 1)
+let ctl_handle seq = seq + 1
 
 let at t time action =
   check_past t time;
   match t.sched with
-  | Heap q -> Obj.repr (Event_queue.schedule q time action)
   | Cal q -> traced_handle t 'S' (Calendar_queue.schedule q time action) time
   | Ctl q -> ctl_handle (Controlled_queue.schedule q ~time:(time :> int) action)
 
@@ -160,7 +150,6 @@ let after t d action = at t (Time.add t.clock d) action
 let at_tagged t time ~tag ~label action =
   check_past t time;
   match t.sched with
-  | Heap q -> Obj.repr (Event_queue.schedule q time action)
   | Cal q -> traced_handle t 'S' (Calendar_queue.schedule q time action) time
   | Ctl q ->
       ctl_handle
@@ -168,7 +157,7 @@ let at_tagged t time ~tag ~label action =
 
 let schedule_floating t ?(tag = -1) ?(label = "") action =
   match t.sched with
-  | Heap _ | Cal _ ->
+  | Cal _ ->
       (* Without a choosing explorer a floating event is just an event at
          the current instant. *)
       at t t.clock action
@@ -180,13 +169,10 @@ let schedule_floating t ?(tag = -1) ?(label = "") action =
 (* Closure-free path for the high-frequency event classes (MAC timers,
    channel end-of-transmission, traffic ticks): the callback is a
    pre-bound top-level function and [arg] its state record, stored in
-   the pooled event slot — nothing allocated per event.  In heap mode
-   the pair is wrapped into a closure, preserving the allocating
-   baseline the benchmark compares against. *)
+   the pooled event slot — nothing allocated per event. *)
 let at_fn (type a) t time (fn : a -> unit) (arg : a) =
   check_past t time;
   match t.sched with
-  | Heap q -> Obj.repr (Event_queue.schedule q time (fun () -> fn arg))
   | Cal q ->
       traced_handle t 's'
         (Calendar_queue.schedule_raw q time
@@ -200,16 +186,15 @@ let at_fn (type a) t time (fn : a -> unit) (arg : a) =
 
 let after_fn t d fn arg = at_fn t (Time.add t.clock d) fn arg
 
-let cancel t (h : handle) =
+let cancel t h =
   if not (is_none h) then
     match t.sched with
-    | Heap _ -> Event_queue.cancel (Obj.obj h : Event_queue.handle)
     | Cal q ->
         (match t.trace with
         | None -> ()
-        | Some tr -> Trace.record_cancel tr (Obj.obj h : int));
-        Calendar_queue.cancel q (Obj.obj h : int)
-    | Ctl q -> Controlled_queue.cancel q ((Obj.obj h : int) - 1)
+        | Some tr -> Trace.record_cancel tr h);
+        Calendar_queue.cancel q h
+    | Ctl q -> Controlled_queue.cancel q (h - 1)
 
 (* Periodic firings carry their state in one record armed with [at_fn],
    instead of a fresh closure pair per firing. *)
@@ -265,14 +250,6 @@ let fire_ctl t (time, action) =
 
 let step t =
   match t.sched with
-  | Heap q -> (
-      match Event_queue.pop q with
-      | None -> false
-      | Some (time, action) ->
-          t.clock <- time;
-          t.fired <- t.fired + 1;
-          action ();
-          true)
   | Cal q ->
       if Calendar_queue.pop_staged q max_int then begin
         t.clock <- Calendar_queue.staged_time q;
@@ -294,13 +271,13 @@ let step t =
 let ready_set t =
   match t.sched with
   | Ctl q -> Controlled_queue.ready q
-  | Heap _ | Cal _ ->
+  | Cal _ ->
       invalid_arg "Engine.ready_set: requires the controlled scheduler"
 
 let pending_set t =
   match t.sched with
   | Ctl q -> Controlled_queue.pending q
-  | Heap _ | Cal _ ->
+  | Cal _ ->
       invalid_arg "Engine.pending_set: requires the controlled scheduler"
 
 let fire_seq t seq =
@@ -311,40 +288,20 @@ let fire_seq t seq =
       | Some ev ->
           fire_ctl t ev;
           true)
-  | Heap _ | Cal _ ->
+  | Cal _ ->
       invalid_arg "Engine.fire_seq: requires the controlled scheduler"
 
 let advance_clock t time =
   match t.sched with
   | Ctl _ -> if Time.(time > t.clock) then t.clock <- time
-  | Heap _ | Cal _ ->
+  | Cal _ ->
       invalid_arg "Engine.advance_clock: requires the controlled scheduler"
 
-let run ?until ?max_events t =
+let run ?(until : Time.t option) ?max_events t =
+  let limit = match until with None -> max_int | Some l -> (l :> int) in
+  let budget = match max_events with None -> max_int | Some m -> m in
   (match t.sched with
-  | Heap q ->
-      let budget_ok () =
-        match max_events with None -> true | Some m -> t.fired < m
-      in
-      let next () =
-        match until with
-        | None -> Event_queue.pop q
-        | Some limit -> Event_queue.pop_until q limit
-      in
-      let running = ref true in
-      while !running && budget_ok () do
-        match next () with
-        | None -> running := false
-        | Some (time, action) ->
-            t.clock <- time;
-            t.fired <- t.fired + 1;
-            action ()
-      done
   | Cal q ->
-      let limit =
-        match until with None -> max_int | Some l -> (l :> int)
-      in
-      let budget = match max_events with None -> max_int | Some m -> m in
       let running = ref true in
       while !running && t.fired < budget do
         if Calendar_queue.pop_staged q limit then begin
@@ -358,8 +315,6 @@ let run ?until ?max_events t =
         else running := false
       done
   | Ctl q ->
-      let limit = match until with None -> max_int | Some l -> (l :> int) in
-      let budget = match max_events with None -> max_int | Some m -> m in
       let running = ref true in
       while !running && t.fired < budget do
         match Controlled_queue.pop_min q ~limit () with
@@ -372,27 +327,19 @@ let run ?until ?max_events t =
      horizon: fast-forwarding then would move the clock backwards on the
      next [step]. *)
   match until with
-  | Some limit when Time.(t.clock < limit) ->
+  | Some horizon when Time.(t.clock < horizon) ->
       let pending_before_horizon =
         match t.sched with
-        | Heap q -> (
-            match Event_queue.next_time q with
-            | Some next -> Time.(next <= limit)
-            | None -> false)
-        | Cal q -> Calendar_queue.next_time_ns q <= (limit :> int)
-        | Ctl q -> Controlled_queue.next_time_ns q <= (limit :> int)
+        | Cal q -> Calendar_queue.next_time_ns q <= limit
+        | Ctl q -> Controlled_queue.next_time_ns q <= limit
       in
-      if not pending_before_horizon then t.clock <- limit
+      if not pending_before_horizon then t.clock <- horizon
   | Some _ | None -> ()
 
 let events_processed t = t.fired
 
 let next_time_ns t =
   match t.sched with
-  | Heap q -> (
-      match Event_queue.next_time q with
-      | Some time -> (time :> int)
-      | None -> max_int)
   | Cal q -> Calendar_queue.next_time_ns q
   | Ctl q -> Controlled_queue.next_time_ns q
 
@@ -401,7 +348,6 @@ type stats = { pending : int; fired : int }
 let stats t =
   let pending =
     match t.sched with
-    | Heap q -> Event_queue.live_count q
     | Cal q -> Calendar_queue.live_count q
     | Ctl q -> Controlled_queue.live_count q
   in
@@ -409,25 +355,24 @@ let stats t =
 
 let calendar_buckets t =
   match t.sched with
-  | Heap _ | Ctl _ -> 0
+  | Ctl _ -> 0
   | Cal q -> Calendar_queue.num_buckets q
 
 let calendar_occupancy t =
   match t.sched with
-  | Heap _ | Ctl _ -> 0.
+  | Ctl _ -> 0.
   | Cal q ->
       let buckets = Calendar_queue.num_buckets q in
       if buckets = 0 then 0.
       else float_of_int (Calendar_queue.live_count q) /. float_of_int buckets
 
 (* Replay a recorded workload through a fresh engine with no-op
-   callbacks: pure scheduler cost, on the public scheduling API each
-   mode actually pays (the heap path wraps its closure, the calendar
-   path stores the pre-bound pair).  Schedule times are absolute and
-   were recorded at or after the then-current clock, and pops happen at
-   the same interleaving points, so the replayed clock never overtakes
-   a recorded schedule time. *)
-let replay_nop (_ : Obj.t) = ()
+   callbacks: pure scheduler cost, on the public scheduling API the run
+   used (the closure path or the pre-bound pair).  Schedule times are
+   absolute and were recorded at or after the then-current clock, and
+   pops happen at the same interleaving points, so the replayed clock
+   never overtakes a recorded schedule time. *)
+let replay_nop (_ : int) = ()
 let replay_nop_unit () = ()
 
 let replay_trace ~scheduler (tr : Trace.t) =
@@ -437,11 +382,10 @@ let replay_trace ~scheduler (tr : Trace.t) =
   for k = 0 to tr.Trace.len - 1 do
     match Bytes.unsafe_get kinds k with
     | 's' ->
-        (* Closure-free path: heap mode wraps, calendar stores the pair. *)
-        handles.(k) <-
-          at_fn e (Time.unsafe_of_ns vals.(k)) replay_nop (Obj.repr 0)
+        (* Closure-free path: the slot stores the pre-bound pair. *)
+        handles.(k) <- at_fn e (Time.unsafe_of_ns vals.(k)) replay_nop 0
     | 'S' ->
-        (* Closure path: both modes store the caller's closure as-is. *)
+        (* Closure path: the slot stores the caller's closure as-is. *)
         handles.(k) <- at e (Time.unsafe_of_ns vals.(k)) replay_nop_unit
     | 'c' -> cancel e handles.(vals.(k))
     | _ -> ignore (step e)

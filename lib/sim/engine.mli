@@ -5,14 +5,13 @@
     waypoints, traffic sources — is expressed as events scheduled on
     one engine.
 
-    Two interchangeable schedulers back the event set: the default
-    {!Calendar_queue} (O(1) schedule/cancel, pooled zero-allocation
-    slots) and the reference {!Event_queue} binary heap.  Outcomes are
-    event-for-event identical; the differential tests rely on it. *)
+    The event set is a {!Calendar_queue}: O(1) schedule/cancel, pooled
+    zero-allocation slots, time order with FIFO ties.  Model-checking
+    runs swap in the introspectable {!Controlled_queue}. *)
 
 type t
 
-type scheduler = [ `Heap | `Calendar | `Controlled ]
+type scheduler = [ `Calendar | `Controlled ]
 (** [`Controlled] backs the event set with {!Controlled_queue} for
     model-checking runs: the pending set is introspectable
     ({!ready_set}) and an explorer can pick which ready event fires
@@ -20,9 +19,9 @@ type scheduler = [ `Heap | `Calendar | `Controlled ]
     (time, seq)-minimum — event-for-event identical to [`Calendar]. *)
 
 type handle
-(** Identifies a scheduled event so it can be cancelled.  Calendar
-    handles are immediate ints; heap handles are records — both hide
-    behind one abstract type so call sites are scheduler-agnostic. *)
+(** Identifies a scheduled event so it can be cancelled.  An immediate
+    int under either scheduler, abstract so call sites cannot forge
+    one. *)
 
 val none : handle
 (** A handle that never names a live event — the "no timer pending"
@@ -31,8 +30,7 @@ val none : handle
 val is_none : handle -> bool
 
 val create : ?seed:int -> ?scheduler:scheduler -> unit -> t
-(** [scheduler] defaults to [`Calendar]; [`Heap] keeps the binary-heap
-    reference path for differential testing and benchmarking. *)
+(** [scheduler] defaults to [`Calendar]. *)
 
 val scheduler : t -> scheduler
 
@@ -58,7 +56,7 @@ val at_fn : t -> Time.t -> ('a -> unit) -> 'a -> handle
 (** [at_fn t time fn arg] schedules [fn arg] at [time].  With the
     calendar scheduler the pair is stored in the pooled event slot —
     nothing is allocated, unlike [at], whose callback closure is a
-    fresh heap block.  Meant for high-frequency event classes whose
+    fresh block.  Meant for high-frequency event classes whose
     callback is a pre-bound top-level function over a long-lived state
     record. *)
 
@@ -143,17 +141,17 @@ val stats : t -> stats
     the time-series sampler reads this each interval. *)
 
 val calendar_buckets : t -> int
-(** Current calendar-wheel bucket count; 0 under the heap scheduler. *)
+(** Current calendar-wheel bucket count; 0 under the controlled
+    scheduler. *)
 
 val calendar_occupancy : t -> float
 (** Pending events per calendar bucket (the wheel resizes to keep this
-    near 1); 0 under the heap scheduler.  Telemetry gauge. *)
+    near 1); 0 under the controlled scheduler.  Telemetry gauge. *)
 
-(** Recorded scheduler workloads, for the engine benchmark: the exact
-    schedule/cancel/pop op sequence of a run, replayable through either
-    scheduler with no-op callbacks.  This isolates the engine hot path
-    — a full simulation spends most of its time in protocol and channel
-    code that is identical under both schedulers. *)
+(** Recorded scheduler workloads, for benchmarks: the exact
+    schedule/cancel/pop op sequence of a run, replayable with no-op
+    callbacks.  This isolates the engine hot path — a full simulation
+    spends most of its time in protocol and channel code. *)
 module Trace : sig
   type t
 
@@ -166,11 +164,12 @@ end
 
 val record_trace : t -> Trace.t
 (** Start recording this engine's scheduler ops.  The engine must use
-    the calendar scheduler (its int handles are what the recorder maps
-    back to schedule ops); raises [Invalid_argument] on a heap engine. *)
+    the calendar scheduler (its slot handles are what the recorder maps
+    back to schedule ops); raises [Invalid_argument] on a controlled
+    engine. *)
 
 val replay_trace : scheduler:scheduler -> Trace.t -> int
 (** Drive a fresh engine of the given mode through the recorded op
     sequence (schedules via the same [at]/[at_fn] split the original
     run used) and return the number of events fired.  Deterministic;
-    both modes fire exactly {!Trace.pops} events. *)
+    fires exactly {!Trace.pops} events. *)

@@ -11,8 +11,7 @@
     Merging adds bucket counts elementwise, which makes [merge_into]
     exactly associative and commutative: aggregating per-trial or
     per-shard histograms yields bit-identical quantiles in any order.
-    This replaces the sort-per-query reservoir ([Quantile]) for
-    latency percentiles and backs the span-stage timings. *)
+    It backs the latency percentiles and the span-stage timings. *)
 
 type t
 

@@ -18,6 +18,26 @@ let default_config =
     startup_window = Time.sec 10.;
   }
 
+(* The inter-packet gap, after rejecting a workload the generator
+   cannot run: fewer than two nodes, a negative flow count, or a rate
+   whose gap is not a positive whole number of nanoseconds.  A zero,
+   negative or infinite rate would otherwise turn into a negative or
+   zero gap and re-arm one packet tick forever at the same instant. *)
+let checked_interval ~fn ~num_nodes config =
+  if num_nodes < 2 then invalid_arg (fn ^ ": need at least two nodes");
+  if config.num_flows < 0 then invalid_arg (fn ^ ": negative num_flows");
+  let pps = config.packets_per_sec in
+  (* The nanosecond count [Time.sec] rounds; NaN fails both bounds. *)
+  let gap_ns = 1. /. pps *. 1e9 in
+  if not (gap_ns >= 0.5 && gap_ns < 0x1p62) then
+    invalid_arg
+      (Printf.sprintf "%s: packets_per_sec %g gives no positive packet interval"
+         fn pps);
+  Time.sec (1. /. pps)
+
+let validate ~num_nodes config =
+  ignore (checked_interval ~fn:"Traffic" ~num_nodes config)
+
 (* One slot = an endless succession of flows.  The slot record carries
    the current flow's state and is re-armed by two pre-bound callbacks
    — one per packet tick, one per flow restart — via [Engine.at_fn], so
@@ -87,9 +107,8 @@ and packet_tick s =
 and restart s = start_flow s s.s_stop
 
 let setup ~engine ~rng ~num_nodes ~config ~until ~emit =
-  if num_nodes < 2 then invalid_arg "Traffic.setup: need at least two nodes";
+  let interval = checked_interval ~fn:"Traffic.setup" ~num_nodes config in
   let next_flow_id = ref 0 in
-  let interval = Time.sec (1. /. config.packets_per_sec) in
   for _ = 1 to config.num_flows do
     let s =
       {
@@ -137,7 +156,7 @@ type flow = {
 }
 
 let plan ~rng ~num_nodes ~config ~until =
-  if num_nodes < 2 then invalid_arg "Traffic.plan: need at least two nodes";
+  ignore (checked_interval ~fn:"Traffic.plan" ~num_nodes config);
   let pick_pair () =
     let src = Rng.int rng num_nodes in
     let rec pick_dst () =

@@ -21,6 +21,12 @@ type config = {
 val default_config : config
 (** 10 flows, 4 pps, 512 B, exp(100 s), 10 s startup window. *)
 
+val validate : num_nodes:int -> config -> unit
+(** Raise [Invalid_argument] unless the workload can run: at least two
+    nodes, [num_flows >= 0], and a finite positive [packets_per_sec]
+    whose inter-packet gap is at least one nanosecond.  {!setup} and
+    {!plan} check the same. *)
+
 val setup :
   engine:Sim.Engine.t ->
   rng:Sim.Rng.t ->
@@ -31,7 +37,8 @@ val setup :
   unit
 (** Schedule the whole workload on [engine].  [emit] is called at each
     packet origination time with a fresh [Data_msg.t] (unique
-    (flow_id, seq), origin time stamped). *)
+    (flow_id, seq), origin time stamped).  Raises [Invalid_argument]
+    on a workload {!validate} rejects. *)
 
 type flow = {
   f_id : int;

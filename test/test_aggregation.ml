@@ -236,14 +236,11 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     net = Net.Params.default;
     seed;
     audit_loops = true;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Experiment.Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* A healthy LDR-AGG run must keep the monitor silent: the wrapper may

@@ -31,14 +31,11 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let static_delivery ?(threshold = 0.95) protocol () =

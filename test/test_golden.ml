@@ -1,14 +1,23 @@
-(* Golden byte digests of the write path.  One small, fixed LDR
-   scenario is run with the JSONL trace, the pcap capture and the
-   invariant monitor on, classic and at four shards; the MD5 of every
-   file it writes must equal the digest checked in under
-   fixtures/golden/.  Any change to the bytes a trace or capture holds
-   shows up here, whichever writer produced it. *)
+(* Golden digests, checked in under fixtures/golden/.
+
+   - Write path: one small, fixed LDR scenario is run with the JSONL
+     trace, the pcap capture and the invariant monitor on, classic and
+     at four shards; the MD5 of every file it writes is pinned.  Any
+     change to the bytes a trace or capture holds shows up here,
+     whichever writer produced it.
+   - Outcomes: a corpus of six protocols x four scenario families x
+     shard counts {1, 4}; the MD5 of a canonical rendering of each
+     run's full outcome (summary, event count, MAC counters, monitor
+     verdict, every Metrics counter, byte count and drop reason) is
+     pinned.  Floats print with %h, so a one-ULP drift changes the
+     digest.  A refactor that shifts behaviour anywhere in the stack
+     shows up as a digest change. *)
 
 open Sim
 open Experiment
 
-let golden_path = "../fixtures/golden/write_path.md5"
+let write_path_golden = "../fixtures/golden/write_path.md5"
+let outcomes_golden = "../fixtures/golden/outcomes.md5"
 
 let scenario ~shards =
   {
@@ -32,19 +41,16 @@ let scenario ~shards =
     net = Net.Params.default;
     seed = 11;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* "<md5 hex>  <name>" per line; blank lines and '#' comments ignored. *)
-let load_golden () =
-  In_channel.with_open_text golden_path In_channel.input_all
+let load_golden path =
+  In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          let line = String.trim line in
@@ -58,26 +64,34 @@ let load_golden () =
                      (String.sub line i (String.length line - i)),
                    String.sub line 0 i ))
 
-(* Digest and delete each file, then compare: a mismatch reports every
-   actual digest, and no output is left behind. *)
-let check_digests files =
-  let golden = load_golden () in
-  let actual =
-    List.map
-      (fun (name, path) ->
-        let d = Digest.to_hex (Digest.file path) in
-        Sys.remove path;
-        (name, d))
-      files
+(* Compare [(name, md5 hex)] pairs against a golden file.  Every
+   mismatch is reported at once: the "<md5>  <name>" line the golden
+   file would need, then the digest it holds. *)
+let check_digests ~golden actual =
+  let expected = load_golden golden in
+  let bad =
+    List.filter (fun (name, d) -> List.assoc_opt name expected <> Some d) actual
   in
-  List.iter
-    (fun (name, d) ->
-      match List.assoc_opt name golden with
-      | Some expected when expected = d -> ()
-      | Some expected ->
-          Alcotest.failf "%s: digest %s, golden %s" name d expected
-      | None -> Alcotest.failf "%s: no golden digest (actual %s)" name d)
-    actual
+  if bad <> [] then
+    Alcotest.failf "%d of %d digests differ from %s:\n%s" (List.length bad)
+      (List.length actual) golden
+      (String.concat "\n"
+         (List.map
+            (fun (name, d) ->
+              Printf.sprintf "%s  %s  (golden %s)" d name
+                (Option.value ~default:"none" (List.assoc_opt name expected)))
+            bad))
+
+(* Digest and delete each file, then compare: no output is left
+   behind. *)
+let check_files files =
+  check_digests ~golden:write_path_golden
+    (List.map
+       (fun (name, path) ->
+         let d = Digest.to_hex (Digest.file path) in
+         Sys.remove path;
+         (name, d))
+       files)
 
 let classic () =
   let trace = Filename.temp_file "golden" ".jsonl" in
@@ -86,14 +100,142 @@ let classic () =
     Runner.run ~monitor:true ~trace_out:trace ~pcap_out:pcap
       (scenario ~shards:1)
   in
-  check_digests [ ("ldr-classic.jsonl", trace); ("ldr-classic.pcap", pcap) ];
+  check_files [ ("ldr-classic.jsonl", trace); ("ldr-classic.pcap", pcap) ];
   Alcotest.(check int) "monitor silent" 0 o.Runner.invariant_violations
 
 let sharded () =
   let trace = Filename.temp_file "golden" ".jsonl" in
   let o = Runner.run ~monitor:true ~trace_out:trace (scenario ~shards:4) in
-  check_digests [ ("ldr-shards4.jsonl", trace) ];
+  check_files [ ("ldr-shards4.jsonl", trace) ];
   Alcotest.(check int) "monitor silent" 0 o.Runner.invariant_violations
+
+(* --- Outcome corpus --------------------------------------------------- *)
+
+(* A small world in the shape of the paper's Fig-5 point: 24 nodes on
+   1200 x 300 m for 15 s, four 4-pkt/s flows, waypoint at pause 0. *)
+let world ~protocol ~shards =
+  {
+    Scenario.label = "golden-outcome";
+    num_nodes = 24;
+    terrain = Geom.Terrain.create ~width:1200. ~height:300.;
+    placement = Scenario.Uniform;
+    speed_min = 1.;
+    speed_max = 10.;
+    pause = Time.sec 0.;
+    duration = Time.sec 15.;
+    traffic =
+      {
+        Traffic.num_flows = 4;
+        packets_per_sec = 4.;
+        payload_bytes = 512;
+        mean_flow_duration = Time.sec 15.;
+        startup_window = Time.sec 2.;
+      };
+    protocol;
+    net = Net.Params.default;
+    seed = 5;
+    audit_loops = false;
+    shards;
+    mobility = Scenario.Waypoint;
+    shadowing = None;
+    churn = None;
+    partition = None;
+  }
+
+let families =
+  [
+    ("fig5", Fun.id);
+    ( "manhattan+churn",
+      fun sc ->
+        {
+          sc with
+          Scenario.mobility = Scenario.Manhattan { spacing = 150. };
+          churn =
+            Some
+              {
+                Scenario.churn_frac = 0.4;
+                crash_frac = 0.5;
+                down_min = Time.sec 3.;
+                down_max = Time.sec 6.;
+                churn_start = Time.sec 3.;
+                churn_stop = Time.sec 10.;
+              };
+        } );
+    ( "partition-heal",
+      fun sc ->
+        {
+          sc with
+          Scenario.partition =
+            Some
+              {
+                Scenario.part_at = Time.sec 4.;
+                part_heal = Time.sec 8.;
+                part_x_frac = 0.5;
+              };
+        } );
+    ( "shadowing",
+      fun sc -> { sc with Scenario.shadowing = Some Scenario.default_shadowing }
+    );
+  ]
+
+let protocols =
+  [
+    ("ldr", Scenario.ldr, true);
+    ("aodv", Scenario.aodv, false);
+    ("dsr", Scenario.dsr, false);
+    ("olsr", Scenario.olsr, false);
+    ("ldr-agg", Scenario.ldr_agg, true);
+    ("aodv-agg", Scenario.aodv_agg, false);
+  ]
+
+(* The canonical rendering of everything a run decides, one field per
+   line; floats in hex so no rounding hides a drift. *)
+let render (o : Runner.outcome) =
+  let m = o.Runner.metrics and s = o.Runner.summary in
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let table name kvs =
+    List.iter (fun (k, v) -> line "%s %s %d" name k v) kvs
+  in
+  line "summary %h %h %h %h %h %h %h %h" s.Metrics.s_delivery_ratio
+    s.s_latency_ms s.s_network_load s.s_byte_load s.s_rreq_load s.s_rrep_init
+    s.s_rrep_recv s.s_mean_dest_seqno;
+  line "events %d" o.Runner.events_processed;
+  line "transmissions %d" o.Runner.transmissions;
+  line "mac_queue_drops %d" o.Runner.mac_queue_drops;
+  line "mac_unicast_failures %d" o.Runner.mac_unicast_failures;
+  line "invariant_violations %d" o.Runner.invariant_violations;
+  line "originated %d" (Metrics.originated m);
+  line "delivered %d" (Metrics.delivered m);
+  line "duplicates %d" (Metrics.duplicates m);
+  line "median_latency_ms %h" (Metrics.median_latency_ms m);
+  line "p95_latency_ms %h" (Metrics.p95_latency_ms m);
+  line "mean_hops %h" (Metrics.mean_hops m);
+  table "control" (Metrics.control_by_kind m);
+  table "control_bytes" (Metrics.control_bytes_by_kind m);
+  table "drops" (Metrics.drops_by_reason m);
+  line "loop_violations %d" (Metrics.loop_violations m);
+  line "data_bytes %d" (Metrics.data_bytes m);
+  line "ack_bytes %d" (Metrics.ack_bytes m);
+  Buffer.contents b
+
+let outcome_digests (pname, protocol, monitor) =
+  List.concat_map
+    (fun (fname, family) ->
+      List.map
+        (fun k ->
+          let o = Runner.run ~monitor (family (world ~protocol ~shards:k)) in
+          if monitor then
+            Alcotest.(check int)
+              (Printf.sprintf "%s/%s/k%d monitor silent" pname fname k)
+              0 o.Runner.invariant_violations;
+          ( Printf.sprintf "%s/%s/k%d" pname fname k,
+            Digest.to_hex (Digest.string (render o)) ))
+        [ 1; 4 ])
+    families
+
+let outcomes proto () =
+  check_digests ~golden:outcomes_golden (outcome_digests proto)
 
 let () =
   Alcotest.run "golden"
@@ -103,4 +245,9 @@ let () =
           Alcotest.test_case "classic trace and pcap" `Quick classic;
           Alcotest.test_case "merged trace at 4 shards" `Quick sharded;
         ] );
+      ( "outcomes",
+        List.map
+          (fun ((name, _, _) as p) ->
+            Alcotest.test_case name `Quick (outcomes p))
+          protocols );
     ]

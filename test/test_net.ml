@@ -13,6 +13,13 @@ let data_payload ?(bytes = 512) ~src ~dst () =
     (Data_msg.fresh ~flow_id:0 ~seq:0 ~src:(n src) ~dst:(n dst)
        ~payload_bytes:bytes ~origin_time:Time.zero)
 
+(* Every channel is built over a node world; tests place static nodes
+   (or scripted walkers) in a 2500 x 1000 m arena, node [i] in slot
+   [i]. *)
+let world mobs =
+  Net.Nodes.create ~width:2500. ~height:1000. (Array.of_list mobs)
+    ~at:Time.zero
+
 (* A small rig: static nodes at given positions, MACs with recording
    callbacks. *)
 type node_rig = {
@@ -24,14 +31,15 @@ type node_rig = {
 
 let rig ?(params = Net.Params.default) positions =
   let engine = Engine.create ~seed:5 () in
-  let channel = Net.Channel.create ~engine ~params () in
+  let world = world (List.map Mobility.static positions) in
+  let channel = Net.Channel.create ~engine ~world ~params () in
   let nodes =
     List.mapi
-      (fun i pos ->
+      (fun i _ ->
         let received = ref [] and overheard = ref 0 and failures = ref [] in
         let mac =
           Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i)) ~id:(n i)
-            ~position:(fun () -> pos)
+            ~world:(world, i)
             {
               Net.Mac.receive =
                 (fun p ~from -> received := (p, from) :: !received);
@@ -210,16 +218,20 @@ let broadcast_no_retry () =
 
 let mobility_breaks_link () =
   (* A node walking out of range: early unicasts succeed, later ones
-     fail — the mobility-driven position function is consulted live. *)
+     fail — the mobility process is consulted live. *)
   let engine = Engine.create ~seed:9 () in
-  let channel = Net.Channel.create ~engine ~params:Net.Params.default () in
-  let delivered = ref 0 and failed = ref 0 in
   let walker =
     Mobility.scripted
       [ (Time.sec 0., v 100. 0.); (Time.sec 10., v 2000. 0.) ]
   in
-  let mk id position cb =
-    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id) ~position cb
+  let world = world [ Mobility.static (v 0. 0.); walker ] in
+  let channel =
+    Net.Channel.create ~engine ~world ~params:Net.Params.default ()
+  in
+  let delivered = ref 0 and failed = ref 0 in
+  let mk id cb =
+    Net.Mac.create ~engine ~channel ~rng:(Rng.create id) ~id:(n id)
+      ~world:(world, id) cb
   in
   let cb_recv =
     {
@@ -235,10 +247,8 @@ let mobility_breaks_link () =
       link_failure = (fun _ ~next_hop:_ -> incr failed);
     }
   in
-  let sender = mk 0 (fun () -> v 0. 0.) cb_send in
-  let _receiver =
-    mk 1 (fun () -> Mobility.position walker (Engine.now engine)) cb_recv
-  in
+  let sender = mk 0 cb_send in
+  let _receiver = mk 1 cb_recv in
   (* One packet per second for 10 s; the walker passes 275 m before 1 s
      (190 m/s) — only the immediate sends can arrive. *)
   for i = 0 to 9 do
@@ -254,76 +264,61 @@ let mobility_breaks_link () =
      the sum is at least the number of sends. *)
   checkb "every send accounted" true (!delivered + !failed >= 10)
 
-(* ---- Grid vs. naive channel: differential determinism ----------------- *)
+(* ---- Channel index vs. a brute-force scan ----------------------------- *)
 
-(* The spatial-grid index must be an invisible optimisation: on the same
-   seed, a run with the grid channel and one with the naive linear-scan
-   channel must touch the same radios in the same order and therefore
-   produce identical outcomes, down to every counter. *)
-let grid_matches_naive_channel () =
-  let open Experiment in
-  List.iter
-    (fun seed ->
-      let sc =
-        Scenario.paper_100 Scenario.ldr
-        |> Scenario.with_duration (Time.sec 12.)
-        |> Scenario.with_seed seed
+(* The cell index must be an invisible optimisation.  On random static
+   layouts, after a random run of detach/reattach toggles, every radio's
+   neighbour query must equal the naive answer: every other attached
+   radio within decode range, newest attach first (radio [i] attaches
+   i-th). *)
+let neighbors_match_naive_prop =
+  QCheck.Test.make ~name:"neighbour queries match naive" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 40)
+           (pair (float_bound_inclusive 1500.) (float_bound_inclusive 600.)))
+        (list (pair small_nat bool)))
+    (fun (layout, toggles) ->
+      let k = List.length layout in
+      let pos = Array.of_list (List.map (fun (x, y) -> v x y) layout) in
+      let engine = Engine.create () in
+      let params = Net.Params.default in
+      let world = world (Array.to_list (Array.map Mobility.static pos)) in
+      let channel = Net.Channel.create ~engine ~world ~params () in
+      let radios =
+        Array.init k (fun i ->
+            Net.Mac.radio
+              (Net.Mac.create ~engine ~channel ~rng:(Rng.create i) ~id:(n i)
+                 ~world:(world, i)
+                 {
+                   Net.Mac.receive = (fun _ ~from:_ -> ());
+                   promiscuous = (fun _ ~from:_ ~dst:_ -> ());
+                   link_failure = (fun _ ~next_hop:_ -> ());
+                 }))
       in
-      let naive = Runner.run (Scenario.with_naive_channel true sc) in
-      let grid = Runner.run sc in
-      let ctx = Printf.sprintf "seed %d" seed in
-      checkb (ctx ^ ": summary identical") true
-        (Stdlib.compare naive.Runner.summary grid.Runner.summary = 0);
-      checki (ctx ^ ": events") naive.Runner.events_processed
-        grid.Runner.events_processed;
-      checki (ctx ^ ": transmissions") naive.Runner.transmissions
-        grid.Runner.transmissions;
-      checki (ctx ^ ": queue drops") naive.Runner.mac_queue_drops
-        grid.Runner.mac_queue_drops;
-      checki (ctx ^ ": unicast failures") naive.Runner.mac_unicast_failures
-        grid.Runner.mac_unicast_failures;
-      checkb (ctx ^ ": control kinds identical") true
-        (Metrics.control_by_kind naive.Runner.metrics
-        = Metrics.control_by_kind grid.Runner.metrics);
-      checkb (ctx ^ ": drop reasons identical") true
-        (Metrics.drops_by_reason naive.Runner.metrics
-        = Metrics.drops_by_reason grid.Runner.metrics);
-      checki (ctx ^ ": delivered") (Metrics.delivered naive.Runner.metrics)
-        (Metrics.delivered grid.Runner.metrics))
-    [ 1; 42 ]
-
-let grid_neighbors_match_naive () =
-  (* Same static layout under both modes: identical neighbour queries. *)
-  let layout = [ v 0. 0.; v 100. 0.; v 260. 0.; v 400. 50.; v 900. 0. ] in
-  let build mode =
-    let engine = Engine.create ~seed:5 () in
-    let channel =
-      Net.Channel.create ~engine ~mode ~max_speed:0. ~params:Net.Params.default ()
-    in
-    List.mapi
-      (fun i pos ->
-        Net.Mac.create ~engine ~channel ~rng:(Rng.create (100 + i)) ~id:(n i)
-          ~position:(fun () -> pos)
-          {
-            Net.Mac.receive = (fun _ ~from:_ -> ());
-            promiscuous = (fun _ ~from:_ ~dst:_ -> ());
-            link_failure = (fun _ ~next_hop:_ -> ());
-          })
-      layout
-    |> fun macs -> (channel, macs)
-  in
-  let ch_g, macs_g = build Net.Channel.Grid in
-  let ch_n, macs_n = build Net.Channel.Naive in
-  List.iteri
-    (fun i mg ->
-      let mn = List.nth macs_n i in
-      let ng = Net.Channel.neighbors_in_range ch_g (Net.Mac.radio mg) in
-      let nn = Net.Channel.neighbors_in_range ch_n (Net.Mac.radio mn) in
-      checkb
-        (Printf.sprintf "node %d neighbour lists identical" i)
-        true
-        (List.map Node_id.to_int ng = List.map Node_id.to_int nn))
-    macs_g
+      let agree () =
+        Array.for_all
+          (fun r ->
+            let me = Node_id.to_int (Net.Channel.radio_id r) in
+            let naive =
+              List.filter
+                (fun j ->
+                  j <> me
+                  && Net.Channel.attached radios.(j)
+                  && Geom.Vec2.dist2 pos.(me) pos.(j)
+                     <= params.Net.Params.range_m *. params.Net.Params.range_m)
+                (List.init k (fun j -> k - 1 - j))
+            in
+            List.map Node_id.to_int (Net.Channel.neighbors_in_range channel r)
+            = naive)
+          radios
+      in
+      agree ()
+      && List.for_all
+           (fun (i, up) ->
+             Net.Channel.set_attached channel radios.(i mod k) up;
+             agree ())
+           toggles)
 
 (* Randomized end-to-end MAC property: every unicast is either received
    at its destination or reported as a link failure to its sender —
@@ -335,16 +330,19 @@ let mac_accounting_prop =
     (fun (seed, k) ->
       let engine = Engine.create ~seed () in
       let params = Net.Params.default in
-      let channel = Net.Channel.create ~engine ~params () in
       let rng = Rng.create seed in
+      (* Random positions: some pairs are in range, some not. *)
+      let world =
+        world
+          (List.init k (fun _ ->
+               Mobility.static (v (Rng.float rng 800.) (Rng.float rng 300.))))
+      in
+      let channel = Net.Channel.create ~engine ~world ~params () in
       let received = Array.make k false and failed = Array.make k false in
       let macs =
         Array.init k (fun i ->
-            (* Random positions: some pairs are in range, some not. *)
-            let pos = v (Rng.float rng 800.) (Rng.float rng 300.) in
             Net.Mac.create ~engine ~channel ~rng:(Rng.create (seed + i))
-              ~id:(n i)
-              ~position:(fun () -> pos)
+              ~id:(n i) ~world:(world, i)
               {
                 Net.Mac.receive =
                   (fun _ ~from -> received.(Node_id.to_int from) <- true);
@@ -391,11 +389,5 @@ let () =
           Alcotest.test_case "mobility breaks link" `Quick mobility_breaks_link;
           qt mac_accounting_prop;
         ] );
-      ( "channel-grid",
-        [
-          Alcotest.test_case "neighbour queries match naive" `Quick
-            grid_neighbors_match_naive;
-          Alcotest.test_case "grid vs naive byte-identical outcome" `Quick
-            grid_matches_naive_channel;
-        ] );
+      ("channel-grid", [ qt neighbors_match_naive_prop ]);
     ]

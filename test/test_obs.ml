@@ -32,14 +32,11 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* Sequence-number packing must preserve the lexicographic (stamp,

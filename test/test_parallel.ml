@@ -53,14 +53,11 @@ let small_scenario ?(seed = 7) ?(audit = false) ?(speed_max = 10.)
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
-    heap_scheduler = false;
     shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* ---- executor ---------------------------------------------------------- *)

@@ -62,14 +62,11 @@ let border_free ?(protocol = Scenario.ldr) ?(audit = false) ?(seed = 11)
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    naive_channel = false;
-    heap_scheduler = false;
     shards;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 (* A connected grid spanning the whole terrain: routes and carrier

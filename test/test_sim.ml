@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: Time, Rng, Event_queue, Engine. *)
+(* Tests for the simulation substrate: Time, Rng, Calendar_queue, Engine. *)
 
 open Sim
 
@@ -148,129 +148,6 @@ let rng_invalid () =
   Alcotest.check_raises "empty range" (Invalid_argument "Rng.int_in: empty range")
     (fun () -> ignore (Rng.int_in r 3 2))
 
-(* ---- Event queue ---------------------------------------------------- *)
-
-let queue_orders_by_time () =
-  let q = Event_queue.create () in
-  let order = ref [] in
-  let note x () = order := x :: !order in
-  ignore (Event_queue.schedule q (Time.ms 3.) (note 3));
-  ignore (Event_queue.schedule q (Time.ms 1.) (note 1));
-  ignore (Event_queue.schedule q (Time.ms 2.) (note 2));
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "time order" [ 1; 2; 3 ] (List.rev !order)
-
-let queue_fifo_at_same_time () =
-  let q = Event_queue.create () in
-  let order = ref [] in
-  for i = 1 to 20 do
-    ignore (Event_queue.schedule q (Time.ms 1.) (fun () -> order := i :: !order))
-  done;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "insertion order"
-    (List.init 20 (fun i -> i + 1))
-    (List.rev !order)
-
-let queue_cancel () =
-  let q = Event_queue.create () in
-  let fired = ref false in
-  let h = Event_queue.schedule q (Time.ms 1.) (fun () -> fired := true) in
-  Event_queue.cancel h;
-  checkb "cancelled flag" true (Event_queue.is_cancelled h);
-  checkb "empty after cancel" true (Event_queue.is_empty q);
-  checkb "never fired" false !fired
-
-let queue_cancel_among_others () =
-  let q = Event_queue.create () in
-  let seen = ref [] in
-  let note x () = seen := x :: !seen in
-  let _a = Event_queue.schedule q (Time.ms 1.) (note 1) in
-  let b = Event_queue.schedule q (Time.ms 2.) (note 2) in
-  let _c = Event_queue.schedule q (Time.ms 3.) (note 3) in
-  Event_queue.cancel b;
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, f) ->
-        f ();
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "b skipped" [ 1; 3 ] (List.rev !seen)
-
-let queue_next_time () =
-  let q = Event_queue.create () in
-  checkb "empty" true (Event_queue.next_time q = None);
-  ignore (Event_queue.schedule q (Time.ms 5.) ignore);
-  (match Event_queue.next_time q with
-  | Some t -> checkb "is 5ms" true (Time.equal t (Time.ms 5.))
-  | None -> Alcotest.fail "expected an event");
-  ignore (Event_queue.schedule q (Time.ms 2.) ignore);
-  match Event_queue.next_time q with
-  | Some t -> checkb "is 2ms now" true (Time.equal t (Time.ms 2.))
-  | None -> Alcotest.fail "expected an event"
-
-let queue_grows () =
-  let q = Event_queue.create () in
-  for i = 1 to 1000 do
-    ignore (Event_queue.schedule q (Time.ms (float_of_int (1000 - i))) ignore)
-  done;
-  checki "live" 1000 (Event_queue.live_count q);
-  (* Pops come out sorted despite reverse insertion. *)
-  let rec drain last n =
-    match Event_queue.pop q with
-    | None -> n
-    | Some (t, _) ->
-        checkb "monotone" true Time.(t >= last);
-        drain t (n + 1)
-  in
-  checki "all popped" 1000 (drain Time.zero 0)
-
-(* qcheck: heap pops are sorted for arbitrary schedules. *)
-let queue_sorted_prop =
-  QCheck.Test.make ~name:"event_queue pops sorted" ~count:200
-    QCheck.(list (int_bound 1_000_000))
-    (fun times ->
-      let q = Event_queue.create () in
-      List.iter
-        (fun ms -> ignore (Event_queue.schedule q (Time.us (float_of_int ms)) ignore))
-        times;
-      let rec drain last =
-        match Event_queue.pop q with
-        | None -> true
-        | Some (t, _) -> Time.(t >= last) && drain t
-      in
-      drain Time.zero)
-
-(* ---- Event_queue shrink ---------------------------------------------- *)
-
-let queue_shrinks () =
-  let q = Event_queue.create () in
-  for i = 0 to 999 do
-    ignore (Event_queue.schedule q (Time.us (float_of_int i)) ignore)
-  done;
-  checkb "grew past 1000" true (Event_queue.capacity q >= 1024);
-  for _ = 1 to 990 do
-    ignore (Event_queue.pop q)
-  done;
-  (* Halving chases occupancy down to the floor. *)
-  checki "shrank to floor" 64 (Event_queue.capacity q);
-  checki "survivors intact" 10 (Event_queue.live_count q)
-
 (* ---- Calendar_queue --------------------------------------------------- *)
 
 let calendar_orders_and_fifo () =
@@ -386,7 +263,7 @@ let calendar_drains_sorted () =
       last_i := i)
     order
 
-(* ---- Engine: heap vs calendar differential --------------------------- *)
+(* ---- Engine: handles and scheduler agreement --------------------------- *)
 
 let engine_none_handle () =
   let e = Engine.create () in
@@ -396,49 +273,6 @@ let engine_none_handle () =
   checkb "real handle is not none" false (Engine.is_none h)
 
 let fire_tag (tag, fired) = fired := tag :: !fired
-
-(* Drive both schedulers through the public Engine API with the same
-   random program of schedules (closure and closure-free paths, near
-   and far-future delays with heavy ties), cancels (including repeats
-   on the same handle) and single-event runs, then drain.  Firing
-   order — including same-time FIFO ties — clock and event count must
-   agree exactly. *)
-let engine_modes_agree_prop =
-  QCheck.Test.make ~name:"heap and calendar engines fire identically"
-    ~count:100
-    QCheck.(list (pair (int_bound 3) (int_bound 1_000_000)))
-    (fun ops ->
-      let trace scheduler =
-        let e = Engine.create ~scheduler () in
-        let fired = ref [] in
-        let handles = ref [] in
-        let tag = ref 0 in
-        List.iter
-          (fun (op, x) ->
-            match op with
-            | 0 | 1 ->
-                let t = !tag in
-                incr tag;
-                let d =
-                  if x mod 7 = 0 then Time.sec (float_of_int (x mod 5))
-                  else Time.us (float_of_int (x mod 300))
-                in
-                let h =
-                  if op = 0 then
-                    Engine.after e d (fun () -> fired := t :: !fired)
-                  else Engine.after_fn e d fire_tag (t, fired)
-                in
-                handles := h :: !handles
-            | 2 -> (
-                match !handles with
-                | [] -> ()
-                | hs -> Engine.cancel e (List.nth hs (x mod List.length hs)))
-            | _ -> Engine.run ~max_events:(Engine.events_processed e + 1) e)
-          ops;
-        Engine.run e;
-        (List.rev !fired, Engine.now e, Engine.events_processed e)
-      in
-      trace `Heap = trace `Calendar)
 
 (* The controlled scheduler left to Engine.run pops the global
    (time, seq) minimum — mcheck's claim that an unexplored simulation
@@ -669,17 +503,6 @@ let () =
           Alcotest.test_case "pick member" `Quick rng_pick_member;
           Alcotest.test_case "invalid args" `Quick rng_invalid;
         ] );
-      ( "event_queue",
-        [
-          Alcotest.test_case "orders by time" `Quick queue_orders_by_time;
-          Alcotest.test_case "fifo at same time" `Quick queue_fifo_at_same_time;
-          Alcotest.test_case "cancel" `Quick queue_cancel;
-          Alcotest.test_case "cancel among others" `Quick queue_cancel_among_others;
-          Alcotest.test_case "next_time" `Quick queue_next_time;
-          Alcotest.test_case "grows" `Quick queue_grows;
-          Alcotest.test_case "shrinks" `Quick queue_shrinks;
-          qt queue_sorted_prop;
-        ] );
       ( "calendar_queue",
         [
           Alcotest.test_case "orders and fifo" `Quick calendar_orders_and_fifo;
@@ -711,7 +534,6 @@ let () =
           Alcotest.test_case "cancel" `Quick engine_cancel;
           Alcotest.test_case "none handle" `Quick engine_none_handle;
           Alcotest.test_case "determinism" `Quick engine_determinism;
-          qt engine_modes_agree_prop;
           qt controlled_default_matches_calendar_prop;
         ] );
     ]

@@ -45,14 +45,11 @@ let border_free ?(seed = 11) ?(shards = 1) () =
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
     partition = None;
-    soa = false;
   }
 
 let with_tmp suffix f =

@@ -112,6 +112,54 @@ let concurrent_flow_count () =
     pkts;
   checkb "at most 5 concurrent" true (Hashtbl.length active <= 5)
 
+(* --- workload validation ---------------------------------------------- *)
+
+let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false
+
+(* A rate whose inter-packet gap is not a positive whole number of
+   nanoseconds would re-arm one packet tick forever at the same instant
+   (a zero gap) or schedule into the past (a negative one), so every
+   entry point rejects it.  [validate] is checked first: it cannot
+   hang, so a regression fails instead of stalling the suite. *)
+let rejects_bad_rates () =
+  List.iter
+    (fun pps ->
+      let config = { base with Traffic.packets_per_sec = pps } in
+      let name what = Printf.sprintf "%s rejects pps %g" what pps in
+      checkb (name "validate") true
+        (rejected (fun () -> Traffic.validate ~num_nodes:20 config));
+      checkb (name "plan") true
+        (rejected (fun () ->
+             Traffic.plan ~rng:(Rng.create 1) ~num_nodes:20 ~config
+               ~until:(Time.sec 5.)));
+      checkb (name "setup") true
+        (rejected (fun () ->
+             Traffic.setup ~engine:(Engine.create ()) ~rng:(Rng.create 1)
+               ~num_nodes:20 ~config ~until:(Time.sec 5.)
+               ~emit:(fun ~src:_ _ -> ()))))
+    [ 0.; -4.; Float.nan; Float.infinity; Float.neg_infinity; 1e-300; 1e12 ]
+
+let rejects_bad_shapes () =
+  checkb "negative flow count" true
+    (rejected (fun () ->
+         Traffic.validate ~num_nodes:20 { base with Traffic.num_flows = -1 }));
+  checkb "one node" true
+    (rejected (fun () -> Traffic.validate ~num_nodes:1 base));
+  checkb "setup with one node" true
+    (rejected (fun () ->
+         Traffic.setup ~engine:(Engine.create ()) ~rng:(Rng.create 1)
+           ~num_nodes:1 ~config:base ~until:(Time.sec 5.)
+           ~emit:(fun ~src:_ _ -> ())))
+
+let accepts_edge_workloads () =
+  (* One packet per nanosecond is the fastest representable rate; zero
+     flows is an idle but valid workload. *)
+  Traffic.validate ~num_nodes:2 { base with Traffic.packets_per_sec = 1e9 };
+  let pkts =
+    collect ~config:{ base with Traffic.num_flows = 0 } ~until:(Time.sec 5.) ()
+  in
+  checki "zero flows emit nothing" 0 (List.length pkts)
+
 let () =
   Alcotest.run "traffic"
     [
@@ -125,5 +173,12 @@ let () =
           Alcotest.test_case "until respected" `Quick respects_until;
           Alcotest.test_case "deterministic" `Quick deterministic_per_seed;
           Alcotest.test_case "concurrency bound" `Quick concurrent_flow_count;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "bad rates rejected" `Quick rejects_bad_rates;
+          Alcotest.test_case "bad shapes rejected" `Quick rejects_bad_shapes;
+          Alcotest.test_case "edge workloads accepted" `Quick
+            accepts_edge_workloads;
         ] );
     ]

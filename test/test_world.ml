@@ -1,12 +1,10 @@
-(* The struct-of-arrays world (city-scale node state) is tested
-   differentially, never with tolerances:
+(* World-level behaviour: link models, churn and partitions.  Exact
+   outcomes of these families are pinned in fixtures/golden/outcomes.md5
+   (test_golden.ml); here:
 
-   - the SoA hot path (shared Mobility.Pos_store + incremental
-     Geom.Cell_index + flat Net.Nodes counter planes) produces outcomes
-     exactly equal to the record path, classic and sharded, across
-     protocols, mobility families, shadowing and churn;
+   - shadowing is deterministic and observable;
    - churn edge cases: traffic to a crashed node, teardown of routing
-     state, rejoin recovery, and index removal/re-insertion under Soa;
+     state, rejoin recovery;
    - the LDR invariant monitor stays silent across churn and
      partition-then-heal sweeps (crash-rebooted sequence numbers are
      the van Glabbeek loop stressor this guards against). *)
@@ -18,7 +16,7 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(soa = false) ?(shards = 1)
+let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(shards = 1)
     ?(mobility = Scenario.Waypoint) ?shadowing ?churn ?partition
     ?(duration = 15.) () =
   {
@@ -42,14 +40,11 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(soa = false) ?(shards = 1)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    naive_channel = false;
-    heap_scheduler = false;
     shards;
     mobility;
     shadowing;
     churn;
     partition;
-    soa;
   }
 
 let digest (o : Runner.outcome) =
@@ -76,44 +71,18 @@ let digest (o : Runner.outcome) =
 let same_digest label a b =
   checkb label true (Stdlib.compare (digest a) (digest b) = 0)
 
-(* --- SoA vs record: byte-identical outcomes ------------------------- *)
-
-let test_soa_identical protocol () =
-  let rec_o = Runner.run (fig5 ~protocol ()) in
-  let soa_o = Runner.run (fig5 ~protocol ~soa:true ()) in
-  checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
-  same_digest "soa digest = record digest" rec_o soa_o
-
-let test_soa_identical_sharded () =
-  List.iter
-    (fun k ->
-      let rec_o = Runner.run (fig5 ~shards:k ()) in
-      let soa_o = Runner.run (fig5 ~shards:k ~soa:true ()) in
-      same_digest (Printf.sprintf "soa = record at K=%d" k) rec_o soa_o)
-    [ 1; 4 ]
-
-let test_soa_identical_mobility mobility () =
-  let rec_o = Runner.run (fig5 ~mobility ()) in
-  let soa_o = Runner.run (fig5 ~mobility ~soa:true ()) in
-  checkb "run did work" true (Metrics.delivered rec_o.Runner.metrics > 0);
-  same_digest
-    (Scenario.mobility_name mobility ^ ": soa = record")
-    rec_o soa_o
-
-(* --- shadowing: deterministic, observable, mode-invariant ------------ *)
+(* --- shadowing: deterministic and observable ------------------------- *)
 
 let test_shadowing () =
   let sh = Some Scenario.default_shadowing in
   let a = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   let b = Runner.run (fig5 ~shadowing:(Option.get sh) ()) in
   same_digest "shadowed rerun identical" a b;
-  let soa_o = Runner.run (fig5 ~shadowing:(Option.get sh) ~soa:true ()) in
-  same_digest "shadowed soa = record" a soa_o;
   let plain = Runner.run (fig5 ()) in
   checkb "shadowing changes the outcome" true
     (Stdlib.compare (digest a) (digest plain) <> 0)
 
-(* --- partition wall: heals, monitor silent, mode-invariant ----------- *)
+(* --- partition wall: heals, monitor silent ---------------------------- *)
 
 let test_partition_heal () =
   let partition =
@@ -123,11 +92,9 @@ let test_partition_heal () =
   let o = Runner.run ~monitor:true (fig5 ~partition ()) in
   checki "monitor silent across partition-heal" 0
     o.Runner.invariant_violations;
-  checkb "still delivered" true (Metrics.delivered o.Runner.metrics > 0);
-  let soa_o = Runner.run ~monitor:true (fig5 ~partition ~soa:true ()) in
-  same_digest "partitioned soa = record" o soa_o
+  checkb "still delivered" true (Metrics.delivered o.Runner.metrics > 0)
 
-(* --- churn: monitor silent, origination parity, mode-invariant ------- *)
+(* --- churn: monitor silent, origination parity ----------------------- *)
 
 let churn_cfg =
   {
@@ -143,9 +110,7 @@ let test_churn_monitor_silent () =
   let o = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ()) in
   checki "monitor silent across churn" 0 o.Runner.invariant_violations;
   checkb "churned run still delivers" true
-    (Metrics.delivered o.Runner.metrics > 0);
-  let soa_o = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~soa:true ()) in
-  same_digest "churned soa = record" o soa_o
+    (Metrics.delivered o.Runner.metrics > 0)
 
 let test_churn_sharded_parity () =
   (* Down nodes originate nothing; the gate is an exact-virtual-time
@@ -157,19 +122,13 @@ let test_churn_sharded_parity () =
   checki "sharded monitor silent" 0 o4.Runner.invariant_violations;
   checki "originated parity K=1 vs K=4"
     (Metrics.originated o1.Runner.metrics)
-    (Metrics.originated o4.Runner.metrics);
-  (* And at a fixed shard count the churned run is exactly reproducible
-     across state layouts. *)
-  let o4s =
-    Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ~soa:true ())
-  in
-  same_digest "sharded churned soa = record" o4 o4s
+    (Metrics.originated o4.Runner.metrics)
 
 (* --- crashed-destination edge cases --------------------------------- *)
 
 (* A five-node chain, 200 m spacing (range 250 m: only neighbours hear
    each other).  Node 4 crashes mid-run while node 0 keeps injecting. *)
-let chain_scenario ~soa =
+let chain_scenario () =
   let positions =
     List.init 5 (fun i -> Geom.Vec2.v (100. +. (200. *. float_of_int i)) 150.)
   in
@@ -181,10 +140,9 @@ let chain_scenario ~soa =
     speed_min = 0.;
     speed_max = 0.;
     traffic = { (fig5 ()).Scenario.traffic with Traffic.num_flows = 0 };
-    soa;
   }
 
-let run_chain_crash ~soa =
+let run_chain_crash () =
   let crashed_successor = ref (Some (Node_id.of_int 0)) in
   Runner.run ~monitor:true
     ~prepare:(fun sim ->
@@ -218,10 +176,10 @@ let run_chain_crash ~soa =
       bring_up (Time.sec 10.);
       inject (Time.sec 13.)
       (* rediscovery after the reboot *))
-    (chain_scenario ~soa)
+    (chain_scenario ())
 
 let test_crashed_destination () =
-  let o = run_chain_crash ~soa:false in
+  let o = run_chain_crash () in
   let m = o.Runner.metrics in
   checki "monitor silent across crash/rejoin" 0 o.Runner.invariant_violations;
   checki "three originations" 3 (Metrics.originated m);
@@ -244,34 +202,12 @@ let test_crash_successor_cleared () =
          ignore
            (Engine.at sim.Runner.engine (Time.sec 1.) (fun () ->
                 sim.Runner.inject ~src:0 ~dst:4)))
-       (chain_scenario ~soa:false));
+       (chain_scenario ()));
   checkb "reset cleared every successor" true (!crashed_successor = None)
-
-let test_crashed_destination_soa_identical () =
-  (* The same scripted crash/rejoin under both state layouts: exercises
-     Cell_index removal and re-insertion against grid rebuild
-     filtering, with outcome equality as the oracle. *)
-  let a = run_chain_crash ~soa:false in
-  let b = run_chain_crash ~soa:true in
-  same_digest "chain crash soa = record" a b
 
 let () =
   Alcotest.run "world"
     [
-      ( "soa-differential",
-        [
-          Alcotest.test_case "ldr" `Quick (test_soa_identical Scenario.ldr);
-          Alcotest.test_case "aodv" `Quick (test_soa_identical Scenario.aodv);
-          Alcotest.test_case "olsr" `Quick (test_soa_identical Scenario.olsr);
-          Alcotest.test_case "sharded K in {1,4}" `Quick
-            test_soa_identical_sharded;
-          Alcotest.test_case "manhattan" `Quick
-            (test_soa_identical_mobility
-               (Scenario.Manhattan { spacing = 150. }));
-          Alcotest.test_case "rpgm" `Quick
-            (test_soa_identical_mobility
-               (Scenario.Rpgm { groups = 4; radius = 60. }));
-        ] );
       ( "link-model",
         [
           Alcotest.test_case "shadowing deterministic" `Quick test_shadowing;
@@ -287,7 +223,5 @@ let () =
             test_crashed_destination;
           Alcotest.test_case "crash clears successors" `Quick
             test_crash_successor_cleared;
-          Alcotest.test_case "crash/rejoin soa = record" `Quick
-            test_crashed_destination_soa_identical;
         ] );
     ]
