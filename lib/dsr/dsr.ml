@@ -53,10 +53,6 @@ type state = {
 
 let send_dsr t ~dst msg = t.ctx.send ~dst (Payload.Dsr msg)
 
-let rec dedup_ok = function
-  | [] -> true
-  | x :: rest -> (not (List.exists (Node_id.equal x) rest)) && dedup_ok rest
-
 (* ---- Sending data over a source route ---------------------------------- *)
 
 let send_data_via t hops (data : Data_msg.t) ~salvage =
@@ -162,20 +158,21 @@ let handle_data t ~sr_remaining ~full_route ~data ~salvage =
 
 (* ---- RREQ / RREP ------------------------------------------------------- *)
 
+(* The path the reply retraces, as (first hop, the rest): last relay
+   first, origin last. *)
 let reverse_path_to_origin (r : Dsr_msg.rreq) =
-  (* Path the reply retraces: last relay first, origin last. *)
-  List.rev (r.origin :: r.route)
+  let rec go acc last = function
+    | [] -> (last, acc)
+    | y :: ys -> go (last :: acc) y ys
+  in
+  match r.route with
+  | [] -> (r.origin, [])
+  | first :: rest -> go [ r.origin ] first rest
 
-let send_rrep t ~full_route ~sr (rrep : Dsr_msg.rrep) =
-  match sr with
-  | [] ->
-      (* Reply to a one-hop neighbor request. *)
-      ignore full_route;
-      assert false
-  | next :: rest ->
-      t.ctx.event "rrep_init";
-      send_dsr t ~dst:(Net.Frame.Unicast next)
-        (Dsr_msg.Rrep { sr_remaining = rest; rrep })
+let send_rrep t (next, rest) (rrep : Dsr_msg.rrep) =
+  t.ctx.event "rrep_init";
+  send_dsr t ~dst:(Net.Frame.Unicast next)
+    (Dsr_msg.Rrep { sr_remaining = rest; rrep })
 
 let handle_rreq t (r : Dsr_msg.rreq) ~from =
   let self = t.ctx.id in
@@ -188,12 +185,11 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
     ignore from;
     (* Links are symmetric, so the accumulated route read backwards is a
        route to the origin. *)
-    Route_cache.add_path t.cache (self :: reverse_path_to_origin r);
+    let ((next, rest) as back) = reverse_path_to_origin r in
+    Route_cache.add_path t.cache (self :: next :: rest);
     if Node_id.equal r.dst self then begin
       let full_route = (r.origin :: r.route) @ [ self ] in
-      send_rrep t ~full_route
-        ~sr:(reverse_path_to_origin r)
-        { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
+      send_rrep t back { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
     end
     else begin
       let cached =
@@ -202,13 +198,12 @@ let handle_rreq t (r : Dsr_msg.rreq) ~from =
       in
       match cached with
       | Some hops
-        when dedup_ok ((r.origin :: r.route) @ (self :: hops)) ->
+        when Route_cache.dedup_ok t.cache
+               ((r.origin :: r.route) @ (self :: hops)) ->
           (* Reply from cache: splice our cached suffix onto the
              accumulated prefix, provided the result is loop-free. *)
           let full_route = (r.origin :: r.route) @ (self :: hops) in
-          send_rrep t ~full_route
-            ~sr:(reverse_path_to_origin r)
-            { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
+          send_rrep t back { Dsr_msg.origin = r.origin; dst = r.dst; full_route }
       | Some _ | None ->
           if r.ttl > 1 then begin
             let relayed =

@@ -4,7 +4,12 @@
     destination returns the hops of the shortest live cached path that
     runs from the owning node to that destination — including paths where
     both appear mid-route, since any contiguous subpath of a valid route
-    is valid.  Link removals truncate every path at the broken link. *)
+    is valid.  Link removals truncate every path at the broken link.
+
+    Paths sit newest first in a fixed set of [capacity] slots, linked in
+    recency order and indexed by a hash of their nodes: re-adding a path
+    costs O(path length), and expired paths, always the oldest, are
+    dropped from the tail. *)
 
 open Packets
 
@@ -15,6 +20,10 @@ val create : engine:Sim.Engine.t -> owner:Node_id.t -> capacity:int -> ttl:Sim.T
 val add_path : t -> Node_id.t list -> unit
 (** Cache a route (two or more distinct nodes).  Oldest paths are evicted
     beyond capacity. *)
+
+val dedup_ok : t -> Node_id.t list -> bool
+(** No node occurs twice in the list: the loop check [add_path] applies.
+    O(length), using the cache's scratch marks. *)
 
 val find : t -> dst:Node_id.t -> Node_id.t list option
 (** Hops from the owner to [dst], excluding the owner, including [dst];

@@ -25,76 +25,196 @@ let default_config =
     data_ttl = Data_msg.default_ttl;
   }
 
+(* ---- Scratch arrays indexed by node id ---------------------------------- *)
+
+(* Node ids are dense small integers, so per-node scratch is a plain int
+   array, widened on demand to cover the largest id seen. *)
+let widen a n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let push a n x =
+  let a = widen a (n + 1) 0 in
+  a.(n) <- x;
+  a
+
+let insertion_sort a n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
 (* ---- MPR selection (RFC 3626 8.3.1 greedy heuristic) ------------------- *)
 
-let select_mprs ~self ~neighbors =
-  let neighbor_set =
-    List.fold_left
-      (fun acc (n, _) -> Node_id.Set.add n acc)
-      Node_id.Set.empty neighbors
+(* Membership marks compare against a stamp that only ever grows, so no
+   array is cleared between selections.  Entry [i] is one symmetric
+   neighbor with its reported neighborhood; [cov] holds, entry after
+   entry, each one's strict two-hop nodes without repeats. *)
+type mprs = {
+  mutable stamp : int;  (** the last selection's mark *)
+  mutable tick : int;
+  mutable nbr : int array;  (** id -> stamp: a symmetric neighbor *)
+  mutable two : int array;  (** id -> stamp: a strict two-hop node *)
+  mutable seen : int array;  (** id -> per-entry tick *)
+  mutable providers : int array;  (** id -> entries covering it *)
+  mutable provider : int array;  (** id -> the last entry covering it *)
+  mutable covered : int array;  (** id -> stamp *)
+  mutable chosen : int array;  (** id -> stamp: selected *)
+  mutable ent_id : int array;
+  mutable ent_nbrs : Node_id.t list array;
+  mutable entries : int;
+  mutable cov_start : int array;
+  mutable cov : int array;
+  mutable two_hop : int array;
+}
+
+let mprs_create () =
+  {
+    stamp = 0;
+    tick = 0;
+    nbr = [||];
+    two = [||];
+    seen = [||];
+    providers = [||];
+    provider = [||];
+    covered = [||];
+    chosen = [||];
+    ent_id = [||];
+    ent_nbrs = [||];
+    entries = 0;
+    cov_start = [||];
+    cov = [||];
+    two_hop = [||];
+  }
+
+let add_entry w n nbrs =
+  let i = w.entries in
+  w.ent_id <- push w.ent_id i (Node_id.to_int n);
+  w.ent_nbrs <- widen w.ent_nbrs (i + 1) [];
+  w.ent_nbrs.(i) <- nbrs;
+  w.entries <- i + 1
+
+let is_mpr w n =
+  let n = Node_id.to_int n in
+  n < Array.length w.chosen && w.chosen.(n) = w.stamp
+
+(* Selects over the entries added since the last call; the result is
+   read with [is_mpr].  Ties go to the smaller id, sole providers of
+   some two-hop node are taken first, and duplicate entries for one
+   neighbor behave as separate providers. *)
+let select w ~self =
+  let self = Node_id.to_int self in
+  let k = w.entries in
+  let bound = ref (self + 1) in
+  for i = 0 to k - 1 do
+    bound := max !bound (w.ent_id.(i) + 1);
+    List.iter (fun x -> bound := max !bound (Node_id.to_int x + 1)) w.ent_nbrs.(i)
+  done;
+  let b = !bound in
+  w.nbr <- widen w.nbr b 0;
+  w.two <- widen w.two b 0;
+  w.seen <- widen w.seen b 0;
+  w.providers <- widen w.providers b 0;
+  w.provider <- widen w.provider b 0;
+  w.covered <- widen w.covered b 0;
+  w.chosen <- widen w.chosen b 0;
+  w.cov_start <- widen w.cov_start (k + 1) 0;
+  w.tick <- w.tick + 1;
+  let s = w.tick in
+  w.stamp <- s;
+  for i = 0 to k - 1 do
+    w.nbr.(w.ent_id.(i)) <- s
+  done;
+  let ncov = ref 0 and ntwo = ref 0 in
+  for i = 0 to k - 1 do
+    w.tick <- w.tick + 1;
+    let mine = w.tick in
+    w.cov_start.(i) <- !ncov;
+    List.iter
+      (fun x ->
+        let x = Node_id.to_int x in
+        if x <> self && w.nbr.(x) <> s && w.seen.(x) <> mine then begin
+          w.seen.(x) <- mine;
+          w.cov <- push w.cov !ncov x;
+          incr ncov;
+          if w.two.(x) <> s then begin
+            w.two.(x) <- s;
+            w.providers.(x) <- 0;
+            w.two_hop <- push w.two_hop !ntwo x;
+            incr ntwo
+          end;
+          w.providers.(x) <- w.providers.(x) + 1;
+          w.provider.(x) <- i
+        end)
+      w.ent_nbrs.(i);
+    w.ent_nbrs.(i) <- []
+  done;
+  w.cov_start.(k) <- !ncov;
+  w.entries <- 0;
+  let remaining = ref !ntwo in
+  let take i =
+    w.chosen.(w.ent_id.(i)) <- s;
+    for c = w.cov_start.(i) to w.cov_start.(i + 1) - 1 do
+      let x = w.cov.(c) in
+      if w.covered.(x) <> s then begin
+        w.covered.(x) <- s;
+        decr remaining
+      end
+    done
   in
-  (* Strict two-hop neighborhood: reachable through a neighbor, not self,
-     not itself a neighbor. *)
-  let coverage =
-    List.map
-      (fun (n, theirs) ->
-        let covers =
-          List.filter
-            (fun x ->
-              (not (Node_id.equal x self))
-              && not (Node_id.Set.mem x neighbor_set))
-            theirs
-        in
-        (n, Node_id.Set.of_list covers))
-      neighbors
-  in
-  let two_hop =
-    List.fold_left
-      (fun acc (_, cov) -> Node_id.Set.union acc cov)
-      Node_id.Set.empty coverage
-  in
-  let mprs = ref Node_id.Set.empty in
-  let covered = ref Node_id.Set.empty in
-  let add n cov =
-    mprs := Node_id.Set.add n !mprs;
-    covered := Node_id.Set.union !covered cov
-  in
-  (* Mandatory picks: sole providers of some two-hop node. *)
-  Node_id.Set.iter
-    (fun x ->
-      match
-        List.filter (fun (_, cov) -> Node_id.Set.mem x cov) coverage
-      with
-      | [ (n, cov) ] -> if not (Node_id.Set.mem n !mprs) then add n cov
-      | _ -> ())
-    two_hop;
+  (* Mandatory picks: sole providers of some two-hop node, in ascending
+     order of that node. *)
+  insertion_sort w.two_hop !ntwo;
+  for j = 0 to !ntwo - 1 do
+    let x = w.two_hop.(j) in
+    if w.providers.(x) = 1 then begin
+      let i = w.provider.(x) in
+      if w.chosen.(w.ent_id.(i)) <> s then take i
+    end
+  done;
   (* Greedy: repeatedly take the neighbor covering the most uncovered
      two-hop nodes (ties to the smaller id, for determinism). *)
-  let remaining () = Node_id.Set.diff two_hop !covered in
-  let rec loop () =
-    let rem = remaining () in
-    if not (Node_id.Set.is_empty rem) then begin
-      let best = ref None in
-      List.iter
-        (fun (n, cov) ->
-          if not (Node_id.Set.mem n !mprs) then begin
-            let gain = Node_id.Set.cardinal (Node_id.Set.inter cov rem) in
-            match !best with
-            | Some (_, bg, bn)
-              when bg > gain || (bg = gain && Node_id.compare bn n < 0) ->
-                ()
-            | _ -> if gain > 0 then best := Some (cov, gain, n)
-          end)
-        coverage;
-      match !best with
-      | None -> () (* uncoverable two-hop nodes (asymmetric info); stop *)
-      | Some (cov, _, n) ->
-          add n cov;
-          loop ()
-    end
-  in
-  loop ();
-  !mprs
+  let stuck = ref false in
+  while !remaining > 0 && not !stuck do
+    let best = ref (-1) and best_gain = ref 0 in
+    for i = 0 to k - 1 do
+      let n = w.ent_id.(i) in
+      if w.chosen.(n) <> s then begin
+        let gain = ref 0 in
+        for c = w.cov_start.(i) to w.cov_start.(i + 1) - 1 do
+          if w.covered.(w.cov.(c)) <> s then incr gain
+        done;
+        if
+          !best >= 0
+          && (!best_gain > !gain
+             || (!best_gain = !gain && w.ent_id.(!best) < n))
+        then ()
+        else if !gain > 0 then begin
+          best := i;
+          best_gain := !gain
+        end
+      end
+    done;
+    (* None: uncoverable two-hop nodes (asymmetric info); stop. *)
+    if !best < 0 then stuck := true else take !best
+  done
+
+let select_mprs ~self ~neighbors =
+  let w = mprs_create () in
+  List.iter (fun (n, nbrs) -> add_entry w n nbrs) neighbors;
+  select w ~self;
+  List.fold_left
+    (fun acc (n, _) -> if is_mpr w n then Node_id.Set.add n acc else acc)
+    Node_id.Set.empty neighbors
 
 (* ---- FIFO jitter queue (the paper's OLSR fix) --------------------------- *)
 
@@ -116,28 +236,170 @@ type link = {
 
 type topo = { mutable ansn : int; mutable advertised : Node_id.t list; mutable t_expires : Time.t }
 
+(* ---- Route computation (hop-count BFS over neighbor + topology links) --- *)
+
+(* The link graph as an edge buffer (both directions of every link) and
+   the first hops, turned into adjacency rows by a counting sort on the
+   source.  Duplicate edges and self-edges stay in; the BFS skips them
+   as already reached. *)
+type graph = {
+  mutable src : int array;
+  mutable dst : int array;
+  mutable edges : int;
+  mutable first : int array;
+  mutable firsts : int;
+  mutable bound : int;  (** 1 + the largest id seen *)
+  mutable row : int array;  (** id -> its first successor's index *)
+  mutable pos : int array;  (** id -> next free slot in its row *)
+  mutable adj : int array;
+}
+
+(* One BFS result: [via]/[dist] by destination id ([via] = -1: no
+   route), [order] the [count] routed ids in BFS order. *)
+type routes = {
+  mutable via : int array;
+  mutable dist : int array;
+  mutable order : int array;
+  mutable count : int;
+}
+
+let graph_create () =
+  {
+    src = [||];
+    dst = [||];
+    edges = 0;
+    first = [||];
+    firsts = 0;
+    bound = 0;
+    row = [||];
+    pos = [||];
+    adj = [||];
+  }
+
+let routes_create () = { via = [||]; dist = [||]; order = [||]; count = 0 }
+
+let clear_graph g ~self =
+  g.edges <- 0;
+  g.firsts <- 0;
+  g.bound <- Node_id.to_int self + 1
+
+let add_first g n =
+  let n = Node_id.to_int n in
+  g.first <- push g.first g.firsts n;
+  g.firsts <- g.firsts + 1;
+  if n >= g.bound then g.bound <- n + 1
+
+(* The undirected link a-b. *)
+let add_link g a b =
+  let a = Node_id.to_int a and b = Node_id.to_int b in
+  let m = g.edges in
+  g.src <- push g.src m a;
+  g.dst <- push g.dst m b;
+  g.src <- push g.src (m + 1) b;
+  g.dst <- push g.dst (m + 1) a;
+  g.edges <- m + 2;
+  if a >= g.bound then g.bound <- a + 1;
+  if b >= g.bound then g.bound <- b + 1
+
+let build_rows g =
+  let m = g.edges and n = g.bound in
+  g.row <- widen g.row (n + 1) 0;
+  g.pos <- widen g.pos (n + 1) 0;
+  g.adj <- widen g.adj m 0;
+  Array.fill g.row 0 (n + 1) 0;
+  for e = 0 to m - 1 do
+    let k = g.src.(e) + 1 in
+    g.row.(k) <- g.row.(k) + 1
+  done;
+  for v = 1 to n do
+    g.row.(v) <- g.row.(v) + g.row.(v - 1)
+  done;
+  Array.blit g.row 0 g.pos 0 (n + 1);
+  for e = 0 to m - 1 do
+    let k = g.src.(e) in
+    g.adj.(g.pos.(k)) <- g.dst.(e);
+    g.pos.(k) <- g.pos.(k) + 1
+  done
+
+(* First hops in ascending id at distance 1, then breadth-first.  A node
+   a parent reaches inherits the parent's first hop, so at every level
+   the queue holds one block per first hop, in ascending first-hop
+   order: each destination goes through the smallest-id first hop among
+   those nearest to it, in whatever order a row lists its successors. *)
+let bfs g r ~self =
+  let self = Node_id.to_int self and n = g.bound in
+  for i = 0 to r.count - 1 do
+    r.via.(r.order.(i)) <- -1
+  done;
+  r.count <- 0;
+  r.via <- widen r.via n (-1);
+  r.dist <- widen r.dist n 0;
+  r.order <- widen r.order n 0;
+  build_rows g;
+  insertion_sort g.first g.firsts;
+  let reach y via dist =
+    r.via.(y) <- via;
+    r.dist.(y) <- dist;
+    r.order.(r.count) <- y;
+    r.count <- r.count + 1
+  in
+  for i = 0 to g.firsts - 1 do
+    let f = g.first.(i) in
+    if r.via.(f) < 0 then reach f f 1
+  done;
+  let head = ref 0 in
+  while !head < r.count do
+    let x = r.order.(!head) in
+    incr head;
+    let via = r.via.(x) and dist = r.dist.(x) + 1 in
+    for k = g.row.(x) to g.row.(x + 1) - 1 do
+      let y = g.adj.(k) in
+      if y <> self && r.via.(y) < 0 then reach y via dist
+    done
+  done
+
+let next_hop r dst =
+  let d = Node_id.to_int dst in
+  if d < Array.length r.via then r.via.(d) else -1
+
+let shortest_routes ~self ~neighbors ~links =
+  let g = graph_create () and r = routes_create () in
+  clear_graph g ~self;
+  List.iter (add_first g) neighbors;
+  List.iter (fun (a, b) -> add_link g a b) links;
+  bfs g r ~self;
+  let rec collect d acc =
+    if d < 0 then acc
+    else
+      let v = r.via.(d) in
+      collect (d - 1)
+        (if v < 0 then acc
+         else (Node_id.of_int d, (Node_id.of_int v, r.dist.(d))) :: acc)
+  in
+  collect (Array.length r.via - 1) []
+
 type state = {
   ctx : RA.ctx;
   cfg : config;
   links : link Node_id.Table.t;
   topology : topo Node_id.Table.t;  (** keyed by TC originator *)
   dups : unit Routing.Rreq_cache.t;
-  mutable mprs : Node_id.Set.t;
+  mprs : mprs;
   mutable ansn : int;
   mutable msg_seq : int;
-  mutable routes : (Node_id.t * int) Node_id.Map.t;  (** dst -> next hop, dist *)
+  graph : graph;
+  routes : routes;  (** what forwarding uses *)
   mutable routes_dirty : bool;
+  mutable changes : int;  (** link-state mutations so far *)
+  peek : routes;  (** observers' view while [routes] is dirty *)
+  mutable peek_changes : int;
+  mutable peek_at : Time.t;
   queue : jitter_queue;
 }
 
 let now t = Engine.now t.ctx.engine
 
 let live_link t (l : link) = Time.(l.l_expires > now t)
-
-let sym_neighbors t =
-  Node_id.Table.fold
-    (fun n l acc -> if l.sym && live_link t l then (n, l) :: acc else acc)
-    t.links []
 
 (* ---- Jittered, FIFO-ordered control transmission ------------------------ *)
 
@@ -160,78 +422,62 @@ let send_control t msg =
     drain t
   end
 
-(* ---- Route computation (BFS over neighbor + topology information) ------- *)
+(* ---- Routes: computed lazily, observed without side effects ------------- *)
 
-let adjacency t =
-  let add tbl a b =
-    let cur = try Node_id.Table.find tbl a with Not_found -> Node_id.Set.empty in
-    Node_id.Table.replace tbl a (Node_id.Set.add b cur)
-  in
-  let tbl = Node_id.Table.create 64 in
-  List.iter
-    (fun (n, l) ->
-      List.iter
-        (fun x ->
-          add tbl n x;
-          add tbl x n)
-        l.their_sym_neighbors)
-    (sym_neighbors t);
+let mark_dirty t =
+  t.routes_dirty <- true;
+  t.changes <- t.changes + 1
+
+(* Reads link and topology expiry at this instant. *)
+let compute t r =
+  let g = t.graph and now = now t in
+  clear_graph g ~self:t.ctx.id;
+  Node_id.Table.iter
+    (fun n l ->
+      if l.sym && live_link t l then begin
+        add_first g n;
+        List.iter (add_link g n) l.their_sym_neighbors
+      end)
+    t.links;
   Node_id.Table.iter
     (fun origin topo ->
-      if Time.(topo.t_expires > now t) then
-        List.iter
-          (fun x ->
-            add tbl origin x;
-            add tbl x origin)
-          topo.advertised)
+      if Time.(topo.t_expires > now) then
+        List.iter (add_link g origin) topo.advertised)
     t.topology;
-  tbl
+  bfs g r ~self:t.ctx.id
 
-let recompute_routes t =
-  t.routes_dirty <- false;
-  let adj = adjacency t in
-  let first_hops =
-    List.sort (fun (a, _) (b, _) -> Node_id.compare a b) (sym_neighbors t)
-  in
-  let routes = ref Node_id.Map.empty in
-  let q = Queue.create () in
-  List.iter
-    (fun (n, _) ->
-      routes := Node_id.Map.add n (n, 1) !routes;
-      Queue.push n q)
-    first_hops;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    let via, dist = Node_id.Map.find x !routes in
-    let succs =
-      match Node_id.Table.find_opt adj x with
-      | Some s -> Node_id.Set.elements s
-      | None -> []
-    in
-    List.iter
-      (fun y ->
-        if
-          (not (Node_id.equal y t.ctx.id))
-          && not (Node_id.Map.mem y !routes)
-        then begin
-          routes := Node_id.Map.add y (via, dist + 1) !routes;
-          Queue.push y q
-        end)
-      succs
-  done;
-  t.routes <- !routes
-
+(* Forwarding: the first lookup after a change recomputes. *)
 let route_lookup t dst =
-  if t.routes_dirty then recompute_routes t;
-  Node_id.Map.find_opt dst t.routes
+  if t.routes_dirty then begin
+    t.routes_dirty <- false;
+    compute t t.routes
+  end;
+  next_hop t.routes dst
+
+(* What [route_lookup] would answer now, without recomputing [routes] or
+   clearing the dirty mark: observers (the loop auditor, the sampler)
+   must not decide when forwarding recomputes, since a recompute reads
+   link expiry at that instant. *)
+let observed t =
+  if not t.routes_dirty then t.routes
+  else begin
+    let now = now t in
+    if t.peek_changes <> t.changes || not (Time.equal t.peek_at now) then begin
+      compute t t.peek;
+      t.peek_changes <- t.changes;
+      t.peek_at <- now
+    end;
+    t.peek
+  end
 
 (* ---- HELLO -------------------------------------------------------------- *)
 
 let recompute_mprs t =
-  let neighbors =
-    List.map (fun (n, l) -> (n, l.their_sym_neighbors)) (sym_neighbors t)
-  in
-  t.mprs <- select_mprs ~self:t.ctx.id ~neighbors
+  Node_id.Table.iter
+    (fun n l ->
+      if l.sym && live_link t l then add_entry t.mprs n l.their_sym_neighbors)
+    t.links;
+  select t.mprs ~self:t.ctx.id
 
 let emit_hello t =
   recompute_mprs t;
@@ -240,7 +486,7 @@ let emit_hello t =
       (fun n l acc ->
         if live_link t l then
           let kind =
-            if l.sym && Node_id.Set.mem n t.mprs then Olsr_msg.Mpr
+            if l.sym && is_mpr t.mprs n then Olsr_msg.Mpr
             else if l.sym then Olsr_msg.Sym
             else Olsr_msg.Asym
           in
@@ -278,14 +524,14 @@ let handle_hello t (h : Olsr_msg.hello) ~from =
             if Node_id.equal n t.ctx.id then None else Some n
         | Olsr_msg.Asym -> None)
       h.neighbors;
-  t.routes_dirty <- true
+  mark_dirty t
 
 (* ---- TC ------------------------------------------------------------------ *)
 
 let selectors t =
-  List.filter_map
-    (fun (n, l) -> if l.chose_me then Some n else None)
-    (sym_neighbors t)
+  Node_id.Table.fold
+    (fun n l acc -> if l.sym && live_link t l && l.chose_me then n :: acc else acc)
+    t.links []
 
 let emit_tc t =
   let sel = selectors t in
@@ -318,7 +564,7 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
             entry.ansn <- tc.ansn;
             entry.advertised <- tc.advertised;
             entry.t_expires <- Time.add (now t) t.cfg.topology_hold;
-            t.routes_dirty <- true
+            mark_dirty t
           end
       | None ->
           Node_id.Table.replace t.topology tc.tc_origin
@@ -327,7 +573,7 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
               advertised = tc.advertised;
               t_expires = Time.add (now t) t.cfg.topology_hold;
             };
-          t.routes_dirty <- true);
+          mark_dirty t);
       (* MPR flooding: only the sender's chosen relays re-broadcast. *)
       let i_am_relay =
         match from_link with Some l -> l.chose_me | None -> false
@@ -341,10 +587,12 @@ let handle_tc t ~origin ~msg_seq ~ttl ~(tc : Olsr_msg.tc) ~from =
 (* ---- Data plane ----------------------------------------------------------- *)
 
 let rec forward_data t msg =
-  match route_lookup t msg.Data_msg.dst with
-  | Some (nh, _) ->
-      t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
-  | None -> t.ctx.drop_data msg ~reason:"no-route"
+  let nh = route_lookup t msg.Data_msg.dst in
+  if nh >= 0 then
+    t.ctx.send
+      ~dst:(Net.Frame.Unicast (Node_id.of_int nh))
+      (Payload.Data (Data_msg.hop msg))
+  else t.ctx.drop_data msg ~reason:"no-route"
 
 and origin_data t msg =
   if Node_id.equal msg.Data_msg.dst t.ctx.id then t.ctx.deliver msg
@@ -363,16 +611,18 @@ let link_failure t payload ~next_hop =
   | Some l ->
       l.sym <- false;
       l.l_expires <- Time.zero;
-      t.routes_dirty <- true;
+      mark_dirty t;
       t.ctx.table_changed ()
   | None -> ());
   match payload with
-  | Payload.Data msg -> (
+  | Payload.Data msg ->
       (* One immediate re-route attempt over the updated table. *)
-      match route_lookup t msg.Data_msg.dst with
-      | Some (nh, _) when not (Node_id.equal nh next_hop) ->
-          t.ctx.send ~dst:(Net.Frame.Unicast nh) (Payload.Data (Data_msg.hop msg))
-      | Some _ | None -> t.ctx.drop_data msg ~reason:"link-failure")
+      let nh = route_lookup t msg.Data_msg.dst in
+      if nh >= 0 && nh <> Node_id.to_int next_hop then
+        t.ctx.send
+          ~dst:(Net.Frame.Unicast (Node_id.of_int nh))
+          (Payload.Data (Data_msg.hop msg))
+      else t.ctx.drop_data msg ~reason:"link-failure"
   | Payload.Ldr _ | Payload.Aodv _ | Payload.Dsr _ | Payload.Olsr _ -> ()
 
 (* ---- Wiring ---------------------------------------------------------------- *)
@@ -409,9 +659,7 @@ let reset t ~crash =
   Node_id.Table.reset t.links;
   Node_id.Table.reset t.topology;
   Routing.Rreq_cache.clear t.dups;
-  t.mprs <- Node_id.Set.empty;
-  t.routes <- Node_id.Map.empty;
-  t.routes_dirty <- true;
+  mark_dirty t;
   Queue.clear t.queue.jq;
   t.ctx.table_changed ();
   if crash then begin
@@ -427,11 +675,16 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
       links = Node_id.Table.create 32;
       topology = Node_id.Table.create 64;
       dups = Routing.Rreq_cache.create ~engine:ctx.engine ~ttl:config.dup_hold;
-      mprs = Node_id.Set.empty;
+      mprs = mprs_create ();
       ansn = 0;
       msg_seq = 0;
-      routes = Node_id.Map.empty;
+      graph = graph_create ();
+      routes = routes_create ();
       routes_dirty = true;
+      changes = 0;
+      peek = routes_create ();
+      peek_changes = -1;
+      peek_at = Time.zero;
       queue = jq_create ();
     }
   in
@@ -444,9 +697,11 @@ let factory ?(config = default_config) () (ctx : RA.ctx) =
     successor =
       (fun dst ->
         if Node_id.equal dst ctx.id then None
-        else Option.map fst (route_lookup t dst));
+        else
+          let nh = next_hop (observed t) dst in
+          if nh >= 0 then Some (Node_id.of_int nh) else None);
     own_seqno = (fun () -> 0.);
     invariants = (fun _ -> None);
-    route_stats = (fun () -> (Node_id.Map.cardinal t.routes, 0, 0));
+    route_stats = (fun () -> ((observed t).count, 0, 0));
     reset = (fun ~crash -> reset t ~crash);
   }

@@ -80,6 +80,187 @@ let cache_rejects_loopy_paths () =
   Dsr.Route_cache.add_path c (path [ 0; 1; 0; 2 ]);
   checkb "loopy path rejected" true (Dsr.Route_cache.find c ~dst:(n 2) = None)
 
+(* ---- Route cache model check --------------------------------------------- *)
+
+(* The list-based cache the indexed one replaced, kept as the oracle:
+   newest first, equal paths dropped on re-add, expired paths filtered
+   (and not counted) on every add, the oldest evicted at capacity. *)
+module Oracle = struct
+  type p = { mutable nodes : Node_id.t list; expires : Time.t }
+
+  type t = {
+    engine : Engine.t;
+    owner : Node_id.t;
+    capacity : int;
+    ttl : Time.t;
+    mutable store : p list;
+  }
+
+  let create ~engine ~owner ~capacity ~ttl =
+    { engine; owner; capacity; ttl; store = [] }
+
+  let now t = Engine.now t.engine
+  let live t p = Time.(p.expires > now t) && List.length p.nodes >= 2
+
+  let rec dedup_ok = function
+    | [] -> true
+    | x :: rest -> (not (List.exists (Node_id.equal x) rest)) && dedup_ok rest
+
+  let add_path t nodes =
+    if List.length nodes >= 2 && dedup_ok nodes then begin
+      let fresh = { nodes; expires = Time.add (now t) t.ttl } in
+      let keep = List.filter (fun p -> live t p && p.nodes <> nodes) t.store in
+      let keep =
+        if List.length keep >= t.capacity then
+          List.filteri (fun i _ -> i < t.capacity - 1) keep
+        else keep
+      in
+      t.store <- fresh :: keep
+    end
+
+  let subroute t nodes dst =
+    let rec from_owner = function
+      | [] -> None
+      | x :: rest when Node_id.equal x t.owner -> to_dst rest []
+      | _ :: rest -> from_owner rest
+    and to_dst remaining acc =
+      match remaining with
+      | [] -> None
+      | x :: rest ->
+          if Node_id.equal x dst then Some (List.rev (x :: acc))
+          else to_dst rest (x :: acc)
+    in
+    from_owner nodes
+
+  let find t ~dst =
+    let best = ref None in
+    List.iter
+      (fun p ->
+        if live t p then
+          match subroute t p.nodes dst with
+          | None -> ()
+          | Some hops -> (
+              match !best with
+              | Some b when List.length b <= List.length hops -> ()
+              | Some _ | None -> best := Some hops))
+      t.store;
+    !best
+
+  let truncate_at_link a b nodes =
+    let rec go = function
+      | x :: (y :: _ as rest) ->
+          if
+            (Node_id.equal x a && Node_id.equal y b)
+            || (Node_id.equal x b && Node_id.equal y a)
+          then [ x ]
+          else x :: go rest
+      | tail -> tail
+    in
+    go nodes
+
+  let remove_link t a b =
+    List.iter (fun p -> p.nodes <- truncate_at_link a b p.nodes) t.store;
+    t.store <- List.filter (fun p -> List.length p.nodes >= 2) t.store
+
+  let paths t =
+    List.filter_map (fun p -> if live t p then Some p.nodes else None) t.store
+
+  let clear t = t.store <- []
+end
+
+type cache_op =
+  | Add of int list
+  | Readd of int  (** the i-th cached path (mod their number), again *)
+  | Remove_link of int * int
+  | Find of int
+  | Clear
+  | Advance of int  (** seconds; the ttl is 10 s *)
+
+let show_op = function
+  | Add l -> "add [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  | Readd i -> Printf.sprintf "readd #%d" i
+  | Remove_link (a, b) -> Printf.sprintf "remove_link %d %d" a b
+  | Find d -> Printf.sprintf "find %d" d
+  | Clear -> "clear"
+  | Advance s -> Printf.sprintf "advance %ds" s
+
+(* Few node ids, so paths repeat, tie, loop, and truncate into
+   duplicates.  Most paths are loop-free (a shuffled prefix of the ids);
+   the rest are arbitrary, loops and 1-node paths included. *)
+let cache_ids = 6
+
+let gen_cache_case =
+  QCheck.Gen.(
+    let id = int_bound (cache_ids - 1) in
+    let loop_free =
+      map2
+        (fun k l -> List.filteri (fun i _ -> i < k) l)
+        (int_range 2 5)
+        (shuffle_l (List.init cache_ids Fun.id))
+    in
+    let op =
+      frequency
+        [
+          (4, map (fun l -> Add l) loop_free);
+          (2, map (fun l -> Add l) (list_size (int_range 1 5) id));
+          (2, map (fun i -> Readd i) (int_bound 63));
+          (2, map2 (fun a b -> Remove_link (a, b)) id id);
+          (1, map (fun d -> Find d) id);
+          (1, return Clear);
+          (2, map (fun s -> Advance s) (int_bound 12));
+        ]
+    in
+    pair (int_range 1 4) (list_size (int_range 1 60) op))
+
+let cache_model_prop =
+  QCheck.Test.make ~name:"route cache matches the list model" ~count:2000
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat ", " (List.map show_op ops)))
+       ~shrink:(fun (cap, ops) ->
+         QCheck.Iter.map (fun ops -> (cap, ops)) (QCheck.Shrink.list ops))
+       gen_cache_case)
+    (fun (capacity, ops) ->
+      let engine = Engine.create () in
+      let ttl = Time.sec 10. in
+      let c = Dsr.Route_cache.create ~engine ~owner:(n 0) ~capacity ~ttl in
+      let o = Oracle.create ~engine ~owner:(n 0) ~capacity ~ttl in
+      let agree () =
+        Dsr.Route_cache.paths c = Oracle.paths o
+        && List.for_all
+             (fun d ->
+               Dsr.Route_cache.find c ~dst:(n d) = Oracle.find o ~dst:(n d))
+             (List.init cache_ids Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add l ->
+              Dsr.Route_cache.add_path c (path l);
+              Oracle.add_path o (path l)
+          | Readd i -> (
+              match Oracle.paths o with
+              | [] -> ()
+              | ps ->
+                  let p = List.nth ps (i mod List.length ps) in
+                  Dsr.Route_cache.add_path c p;
+                  Oracle.add_path o p)
+          | Remove_link (a, b) ->
+              Dsr.Route_cache.remove_link c (n a) (n b);
+              Oracle.remove_link o (n a) (n b)
+          | Find d ->
+              if Dsr.Route_cache.find c ~dst:(n d) <> Oracle.find o ~dst:(n d)
+              then QCheck.Test.fail_reportf "find %d differs" d
+          | Clear ->
+              Dsr.Route_cache.clear c;
+              Oracle.clear o
+          | Advance s ->
+              Engine.run engine
+                ~until:(Time.add (Engine.now engine) (Time.sec (float_of_int s))));
+          agree ())
+        ops)
+
 (* ---- Protocol ------------------------------------------------------------ *)
 
 module TN = Experiment.Testnet
@@ -256,6 +437,7 @@ let () =
           Alcotest.test_case "expiry" `Quick cache_expiry;
           Alcotest.test_case "capacity" `Quick cache_capacity;
           Alcotest.test_case "rejects loopy paths" `Quick cache_rejects_loopy_paths;
+          qt cache_model_prop;
         ] );
       ( "protocol",
         [

@@ -82,6 +82,184 @@ let mpr_coverage_prop =
             neighbors)
         two_hop)
 
+(* ---- Differentials against the Set/Map implementations ---------------------- *)
+
+(* The selection the array-based one replaced, kept as the oracle. *)
+let oracle_mprs ~self ~neighbors =
+  let neighbor_set =
+    List.fold_left
+      (fun acc (n, _) -> Node_id.Set.add n acc)
+      Node_id.Set.empty neighbors
+  in
+  let coverage =
+    List.map
+      (fun (n, theirs) ->
+        let covers =
+          List.filter
+            (fun x ->
+              (not (Node_id.equal x self))
+              && not (Node_id.Set.mem x neighbor_set))
+            theirs
+        in
+        (n, Node_id.Set.of_list covers))
+      neighbors
+  in
+  let two_hop =
+    List.fold_left
+      (fun acc (_, cov) -> Node_id.Set.union acc cov)
+      Node_id.Set.empty coverage
+  in
+  let mprs = ref Node_id.Set.empty in
+  let covered = ref Node_id.Set.empty in
+  let add n cov =
+    mprs := Node_id.Set.add n !mprs;
+    covered := Node_id.Set.union !covered cov
+  in
+  Node_id.Set.iter
+    (fun x ->
+      match List.filter (fun (_, cov) -> Node_id.Set.mem x cov) coverage with
+      | [ (n, cov) ] -> if not (Node_id.Set.mem n !mprs) then add n cov
+      | _ -> ())
+    two_hop;
+  let remaining () = Node_id.Set.diff two_hop !covered in
+  let rec loop () =
+    let rem = remaining () in
+    if not (Node_id.Set.is_empty rem) then begin
+      let best = ref None in
+      List.iter
+        (fun (n, cov) ->
+          if not (Node_id.Set.mem n !mprs) then begin
+            let gain = Node_id.Set.cardinal (Node_id.Set.inter cov rem) in
+            match !best with
+            | Some (_, bg, bn)
+              when bg > gain || (bg = gain && Node_id.compare bn n < 0) ->
+                ()
+            | _ -> if gain > 0 then best := Some (cov, gain, n)
+          end)
+        coverage;
+      match !best with
+      | None -> ()
+      | Some (cov, _, n) ->
+          add n cov;
+          loop ()
+    end
+  in
+  loop ();
+  !mprs
+
+(* The BFS the array-based one replaced, kept as the oracle: Set
+   adjacency, Map routes, first hops in ascending id. *)
+let oracle_routes ~self ~neighbors ~links =
+  let adj = Node_id.Table.create 64 in
+  let add a b =
+    let cur =
+      Option.value ~default:Node_id.Set.empty (Node_id.Table.find_opt adj a)
+    in
+    Node_id.Table.replace adj a (Node_id.Set.add b cur)
+  in
+  List.iter
+    (fun (a, b) ->
+      add a b;
+      add b a)
+    links;
+  let routes = ref Node_id.Map.empty in
+  let q = Queue.create () in
+  List.iter
+    (fun x ->
+      routes := Node_id.Map.add x (x, 1) !routes;
+      Queue.push x q)
+    (List.sort Node_id.compare neighbors);
+  while not (Queue.is_empty q) do
+    let x = Queue.pop q in
+    let via, dist = Node_id.Map.find x !routes in
+    let succs =
+      match Node_id.Table.find_opt adj x with
+      | Some s -> Node_id.Set.elements s
+      | None -> []
+    in
+    List.iter
+      (fun y ->
+        if (not (Node_id.equal y self)) && not (Node_id.Map.mem y !routes)
+        then begin
+          routes := Node_id.Map.add y (via, dist + 1) !routes;
+          Queue.push y q
+        end)
+      succs
+  done;
+  Node_id.Map.bindings !routes
+
+(* Sparse, non-contiguous ids drawn from a small pool, so lists repeat
+   ids and graphs carry self-links and duplicate links. *)
+let gen_pool =
+  QCheck.Gen.(
+    map
+      (fun l -> Array.of_list (List.sort_uniq compare l))
+      (list_size (int_range 2 14) (int_bound 400)))
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let gen_graph =
+  QCheck.Gen.(
+    gen_pool >>= fun pool ->
+    let id = map (fun i -> n pool.(i)) (int_bound (Array.length pool - 1)) in
+    triple id (list_size (int_bound 8) id)
+      (list_size (int_bound 40) (pair id id)))
+
+let print_ids l = String.concat "," (List.map Node_id.to_string l)
+
+let routes_match_oracle =
+  QCheck.Test.make ~name:"routes match the Set/Map BFS" ~count:500
+    (QCheck.make
+       ~print:(fun (self, nbrs, links) ->
+         Printf.sprintf "self %s neighbors [%s] links [%s]"
+           (Node_id.to_string self) (print_ids nbrs)
+           (String.concat ","
+              (List.map
+                 (fun (a, b) ->
+                   Node_id.to_string a ^ "-" ^ Node_id.to_string b)
+                 links)))
+       gen_graph)
+    (fun (self, neighbors, links) ->
+      Olsr.shortest_routes ~self ~neighbors ~links
+      = oracle_routes ~self ~neighbors ~links)
+
+let gen_neighbors =
+  QCheck.Gen.(
+    gen_pool >>= fun pool ->
+    let id = map (fun i -> n pool.(i)) (int_bound (Array.length pool - 1)) in
+    triple id
+      (list_size (int_bound 8) (pair id (list_size (int_bound 8) id)))
+      int)
+
+let mprs_match_oracle =
+  QCheck.Test.make ~name:"mpr selection matches the Set implementation"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (self, nbrs, _) ->
+         Printf.sprintf "self %s: %s" (Node_id.to_string self)
+           (String.concat "; "
+              (List.map
+                 (fun (x, l) -> Node_id.to_string x ^ " [" ^ print_ids l ^ "]")
+                 nbrs)))
+       gen_neighbors)
+    (fun (self, neighbors, seed) ->
+      (* The agent's neighbors are distinct; with distinct entries the
+         order they come in must not matter either. *)
+      let shuffled = shuffle (Rng.create seed) neighbors in
+      let mine = Olsr.select_mprs ~self ~neighbors:shuffled in
+      Node_id.Set.equal mine (oracle_mprs ~self ~neighbors:shuffled)
+      && (List.length (List.sort_uniq compare (List.map fst neighbors))
+          <> List.length neighbors
+         || Node_id.Set.equal mine (Olsr.select_mprs ~self ~neighbors)))
+
 (* ---- Protocol over the test network ---------------------------------------- *)
 
 module TN = Experiment.Testnet
@@ -172,6 +350,15 @@ let link_failure_reroutes () =
   TN.run net ~for_:(Time.sec 30.);
   checkb "rerouted eventually" true (TN.delivered net >= 2)
 
+let route_stats_before_forwarding () =
+  (* No data has moved, so no lookup has recomputed the routes: the
+     sampler's gauge must still count every destination. *)
+  let _, net = make_net 5 in
+  TN.connect_chain net [ 0; 1; 2; 3; 4 ];
+  TN.run net ~for_:(Time.sec 20.);
+  let entries, _, _ = (TN.agent net 4).Routing.Agent.route_stats () in
+  checki "routes at node 4" 4 entries
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "olsr"
@@ -183,7 +370,9 @@ let () =
           Alcotest.test_case "empty cases" `Quick mpr_empty_cases;
           Alcotest.test_case "ignores self/neighbors" `Quick mpr_ignores_self_and_neighbors;
           qt mpr_coverage_prop;
+          qt mprs_match_oracle;
         ] );
+      ("routes", [ qt routes_match_oracle ]);
       ( "protocol",
         [
           Alcotest.test_case "proactive routes form" `Quick proactive_routes_form;
@@ -193,5 +382,7 @@ let () =
           Alcotest.test_case "shortest path" `Quick shortest_path_selected;
           Alcotest.test_case "overhead accounting" `Quick hello_and_tc_overhead_counted;
           Alcotest.test_case "link failure reroutes" `Quick link_failure_reroutes;
+          Alcotest.test_case "route stats before forwarding" `Quick
+            route_stats_before_forwarding;
         ] );
     ]

@@ -205,6 +205,36 @@ let test_crash_successor_cleared () =
        (chain_scenario ()));
   checkb "reset cleared every successor" true (!crashed_successor = None)
 
+(* --- observers leave OLSR runs alone --------------------------------- *)
+
+(* The loop auditor reads every node's successor after each table write.
+   For OLSR that must not recompute the routes forwarding uses: a
+   recompute reads link expiry at that instant, so one made early would
+   change later forwarding.  In this 30-node, 6-flow, 20 m/s world an
+   early recompute changes the run (3,125 vs 3,153 events).  The
+   auditor's own loop count is left out of the comparison. *)
+let test_audit_leaves_olsr_alone () =
+  let sc =
+    let base = fig5 ~protocol:Scenario.olsr ~duration:10. () in
+    {
+      base with
+      Scenario.num_nodes = 30;
+      terrain = Geom.Terrain.create ~width:1500. ~height:300.;
+      speed_max = 20.;
+      traffic = { base.Scenario.traffic with Traffic.num_flows = 6 };
+    }
+  in
+  let outcome sc =
+    let head, delivery, (control, bytes, drops, _loops, data, ack) =
+      digest (Runner.run sc)
+    in
+    (head, delivery, (control, bytes, drops, data, ack))
+  in
+  checkb "audit on = audit off" true
+    (Stdlib.compare (outcome sc)
+       (outcome { sc with Scenario.audit_loops = true })
+    = 0)
+
 let () =
   Alcotest.run "world"
     [
@@ -223,5 +253,10 @@ let () =
             test_crashed_destination;
           Alcotest.test_case "crash clears successors" `Quick
             test_crash_successor_cleared;
+        ] );
+      ( "observers",
+        [
+          Alcotest.test_case "loop audit leaves olsr alone" `Quick
+            test_audit_leaves_olsr_alone;
         ] );
     ]
