@@ -1458,8 +1458,8 @@ let mcheck_json rows =
       "{";
       "  \"benchmark\": \"mcheck-exhaustiveness\",";
       "  \"method\": \"DFS over message-delivery/timer interleavings from \
-       the fixture's post-prelude state; sleep-set DPOR plus digest-based \
-       state matching; every state checked for successor-graph cycles and \
+       the fixture's post-prelude state; sleep-set DPOR plus state matching \
+       on the exact canonical state; every state checked for successor-graph cycles and \
        monitor violations\",";
       "  \"runs\": [";
       String.concat ",\n" (List.map row rows);

@@ -819,15 +819,6 @@ let mcheck_cmd =
       & info [ "max-states" ] ~docv:"N"
           ~doc:"Explored-state budget; exceeding it reports incomplete.")
   in
-  let all_schedules =
-    Arg.(
-      value & flag
-      & info [ "all-schedules" ]
-          ~doc:
-            "Exhaustively enumerate the bounded schedule space (DPOR-style \
-             sleep sets + state matching).  Default unless \
-             $(b,--random-walks) is given.")
-  in
   let random_walks =
     Arg.(
       value
@@ -853,8 +844,8 @@ let mcheck_cmd =
       value & flag
       & info [ "no-dedup" ]
           ~doc:
-            "Disable state matching (pure sleep-set DPOR) — slower, immune \
-             to digest collisions.")
+            "Disable state matching (pure sleep-set DPOR): every revisited \
+             state is explored again.  Slower; for checking the pruning.")
   in
   let trace_out =
     Arg.(
@@ -892,7 +883,7 @@ let mcheck_cmd =
                name
                (String.concat ", " Fixture.builtin_names))
   in
-  let action proto fixture max_steps max_states _all walks seed no_minimize
+  let action proto fixture max_steps max_states walks seed no_minimize
       no_dedup trace_out repro expect =
     match load_fixture fixture with
     | Error e ->
@@ -968,7 +959,7 @@ let mcheck_cmd =
   let term =
     Term.(
       const action $ mc_protocol $ fixture_arg $ max_steps $ max_states
-      $ all_schedules $ random_walks $ seed $ no_minimize $ no_dedup
+      $ random_walks $ seed $ no_minimize $ no_dedup
       $ trace_out $ repro $ expect)
   in
   Cmd.v

@@ -10,7 +10,11 @@ type t = {
      (bucket counts just sum), no sort-per-query reservoir. *)
   latency_h : Stats.Hdr.t;
   hop_count : Stats.Welford.t;
-  seen : (int, unit) Hashtbl.t;  (* delivered uids, packed *)
+  (* Delivered uids, packed.  Only probed and added to, never iterated,
+     so it starts small and grows with deliveries: a large initial
+     bucket array would go straight to the major heap in every short
+     run, and each model-checker replay builds one. *)
+  seen : (int, unit) Hashtbl.t;
   control_tx : (string, int ref) Hashtbl.t;
   control_bytes : (string, int ref) Hashtbl.t;
   mutable data_tx : int;
@@ -42,7 +46,7 @@ let create ?(journal = false) () =
     latency = Stats.Welford.create ();
     latency_h = Stats.Hdr.create ();
     hop_count = Stats.Welford.create ();
-    seen = Hashtbl.create 4096;
+    seen = Hashtbl.create 16;
     control_tx = Hashtbl.create 8;
     control_bytes = Hashtbl.create 8;
     data_tx = 0;

@@ -67,68 +67,79 @@ type sys = {
   n : int;
 }
 
-(* A floating message's hold instant, if a fixture [hold] directive
-   matches its label ("CLASS src->dst #hash" — match up to the id
-   boundary so "RREP 0->1" does not capture "RREP 0->12"). *)
-let hold_until (fx : Fixture.t) (r : Controlled_queue.ready) =
-  if not r.Controlled_queue.r_floating then None
+(* Each hold directive as its label prefix ("CLASS src->dst") and its
+   instant in ns, rendered once per prelude. *)
+let hold_prefixes (fx : Fixture.t) =
+  List.map
+    (fun (h : Fixture.hold) ->
+      ( Printf.sprintf "%s %d->%d" h.Fixture.h_class h.h_src h.h_dst,
+        (Time.sec h.h_until :> int) ))
+    fx.Fixture.holds
+
+(* A ready event's effective prelude time: a floating message matched
+   by a hold is due at its hold instant.  Labels read "CLASS src->dst
+   #hash"; match up to the id boundary so "RREP 0->1" does not capture
+   "RREP 0->12". *)
+let effective_time holds (r : Controlled_queue.ready) =
+  let label = r.Controlled_queue.r_label in
+  let held (p, _) =
+    String.starts_with ~prefix:p label
+    && (String.length label = String.length p
+       || label.[String.length p] = ' ')
+  in
+  if not r.r_floating then r.r_time
   else
-    List.find_map
-      (fun (h : Fixture.hold) ->
-        let p = Printf.sprintf "%s %d->%d" h.Fixture.h_class h.h_src h.h_dst in
-        let lp = String.length p and ll = String.length r.r_label in
-        if
-          ll >= lp
-          && String.sub r.r_label 0 lp = p
-          && (ll = lp || r.r_label.[lp] = ' ')
-        then Some h.h_until
-        else None)
-      fx.Fixture.holds
+    match List.find_opt held holds with
+    | Some (_, until) -> Stdlib.max r.r_time until
+    | None -> r.r_time
 
 (* The deterministic prelude: before [explore_from], fire events in
    (effective time, seq) order — FIFO, i.e. exactly the stock calendar
    schedule — except that held messages' effective time is their hold
    instant.  This mechanically pins down the "reachable state with
    routes established" that published counterexample walkthroughs
-   start from; the explorer then branches only over the suffix.  The
-   prelude is part of [build], so replay, digests and traces all see
-   the identical starting state. *)
-let run_prelude engine (fx : Fixture.t) =
+   start from; the explorer then branches only over the suffix.
+   Returns the schedule it fired, as (instant ns, seq) pairs in firing
+   order. *)
+let select_prelude engine (fx : Fixture.t) =
   let horizon = (Time.sec fx.Fixture.explore_from :> int) in
-  let eff (r : Controlled_queue.ready) =
-    match hold_until fx r with
-    | Some u -> Stdlib.max r.Controlled_queue.r_time ((Time.sec u :> int))
-    | None -> r.Controlled_queue.r_time
+  let holds = hold_prefixes fx in
+  let rec loop fuel schedule =
+    if fuel < 0 then failwith "mcheck: fixture prelude did not quiesce";
+    let at, seq =
+      List.fold_left
+        (fun ((at, seq) as best) (r : Controlled_queue.ready) ->
+          let e = effective_time holds r in
+          if e < at || (e = at && r.Controlled_queue.r_seq < seq) then
+            (e, r.r_seq)
+          else best)
+        (max_int, max_int) (Engine.ready_set engine)
+    in
+    if at >= horizon then List.rev schedule
+    else begin
+      (* Deliver a held message *at* its hold instant: lifetime
+         arithmetic must see the delayed delivery time. *)
+      Engine.advance_clock engine (Time.unsafe_of_ns at);
+      ignore (Engine.fire_seq engine seq);
+      loop (fuel - 1) ((at, seq) :: schedule)
+    end
   in
-  let fuel = ref 100_000 in
-  let continue_ = ref true in
-  while !continue_ do
-    decr fuel;
-    if !fuel < 0 then failwith "mcheck: fixture prelude did not quiesce";
-    match Engine.ready_set engine with
-    | [] -> continue_ := false
-    | first :: rest ->
-        let best =
-          List.fold_left
-            (fun b r ->
-              if
-                eff r < eff b
-                || (eff r = eff b
-                   && r.Controlled_queue.r_seq < b.Controlled_queue.r_seq)
-              then r
-              else b)
-            first rest
-        in
-        if eff best >= horizon then continue_ := false
-        else begin
-          (* Deliver a held message *at* its hold instant: lifetime
-             arithmetic must see the delayed delivery time. *)
-          Engine.advance_clock engine (Time.unsafe_of_ns (eff best));
-          ignore (Engine.fire_seq engine best.Controlled_queue.r_seq)
-        end
-  done
+  loop 100_000 []
 
-let build (fx : Fixture.t) proto =
+(* Re-fire a recorded prelude schedule by seq.  Rebuilds are
+   deterministic, so every seq is pending at its turn; one that is not
+   means the build diverged. *)
+let refire_prelude engine schedule =
+  List.iter
+    (fun (at, seq) ->
+      Engine.advance_clock engine (Time.unsafe_of_ns at);
+      if not (Engine.fire_seq engine seq) then
+        failwith
+          (Printf.sprintf
+             "mcheck: prelude replay divergence — event %d not pending" seq))
+    schedule
+
+let make (fx : Fixture.t) proto =
   let engine = Engine.create ~seed:1 ~scheduler:`Controlled () in
   let bus = Obs.Bus.create () in
   let factory =
@@ -163,8 +174,22 @@ let build (fx : Fixture.t) proto =
       in
       ignore (Engine.at_tagged engine (Time.sec at) ~tag:(-1) ~label run))
     fx.Fixture.script;
-  run_prelude engine fx;
   { net; engine; monitor; n = fx.Fixture.nodes }
+
+(* The systems of one search, each at the end of the prelude.  The first
+   call runs the selecting prelude and records its schedule; every
+   later call re-fires that schedule, so replay, digests and traces all
+   see the identical starting state without re-selecting it.  Scoped to
+   one search, not cached by fixture name: a .topo file may reuse a
+   built-in's name. *)
+let builder fx proto =
+  let schedule = ref None in
+  fun () ->
+    let sys = make fx proto in
+    (match !schedule with
+    | None -> schedule := Some (select_prelude sys.engine fx)
+    | Some s -> refire_prelude sys.engine s);
+    sys
 
 let choice_of (r : Controlled_queue.ready) =
   {
@@ -212,41 +237,54 @@ let event_key (r : Controlled_queue.ready) =
     Printf.sprintf "F%d|%s" r.Controlled_queue.r_tag r.r_label
   else Printf.sprintf "T%d|%d|%s" r.Controlled_queue.r_tag r.r_time r.r_label
 
+(* The canonical state: per node, its successor for every other node,
+   own seqno and route stats; the clock; the monitor count; the sorted
+   multiset of pending-event keys.  It is written out injectively (ints
+   as 8 fixed bytes, a count before each list, a length before each
+   string) and the memo is keyed by the serialisation's 128-bit MD5, so
+   two states merge only when they are equal. *)
 let digest_sys sys =
-  let tables = ref [] in
-  for i = sys.n - 1 downto 0 do
+  let b = Buffer.create 256 in
+  let int x =
+    for k = 0 to 7 do
+      Buffer.add_char b (Char.unsafe_chr ((x lsr (8 * k)) land 0xff))
+    done
+  in
+  let str s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  for i = 0 to sys.n - 1 do
     let ag = Experiment.Testnet.agent sys.net i in
-    let succs = ref [] in
-    for d = sys.n - 1 downto 0 do
+    for d = 0 to sys.n - 1 do
       if d <> i then
-        succs :=
+        int
           (match ag.Routing.Agent.successor (Node_id.of_int d) with
           | Some s -> Node_id.to_int s
           | None -> -1)
-          :: !succs
     done;
-    tables :=
-      (!succs, ag.Routing.Agent.own_seqno (), ag.Routing.Agent.route_stats ())
-      :: !tables
+    Buffer.add_int64_le b (Int64.bits_of_float (ag.Routing.Agent.own_seqno ()));
+    let routes, a, c = ag.Routing.Agent.route_stats () in
+    int routes;
+    int a;
+    int c
   done;
+  int (Engine.now sys.engine :> int);
+  int (Obs.Monitor.violations sys.monitor);
   let pend =
-    List.sort compare (List.map event_key (Engine.pending_set sys.engine))
+    List.sort String.compare (List.map event_key (Engine.pending_set sys.engine))
   in
-  Hashtbl.hash_param 500 5000
-    ( !tables,
-      pend,
-      (Engine.now sys.engine :> int),
-      Obs.Monitor.violations sys.monitor )
+  int (List.length pend);
+  List.iter str pend;
+  Digest.string (Buffer.contents b)
 
 (* sl (sorted) a subset of cur (sorted)? *)
-let rec subset sl cur =
+let rec subset (sl : int list) (cur : int list) =
   match (sl, cur) with
   | [], _ -> true
   | _, [] -> false
   | x :: xs, y :: ys ->
-      if String.equal x y then subset xs ys
-      else if String.compare x y > 0 then subset sl ys
-      else false
+      if x = y then subset xs ys else if x > y then subset sl ys else false
 
 exception Abort
 
@@ -254,9 +292,22 @@ let explore ?(max_steps = 40) ?(max_states = 2_000_000)
     ?(stop_at_first = true) ?(dedup = true) fx proto =
   let st = fresh_stats () in
   let first = ref None in
-  let memo : (int, (string list * int) list) Hashtbl.t =
+  let memo : (Digest.t, (int list * int) list) Hashtbl.t =
     Hashtbl.create 4096
   in
+  (* Sleep sets are stored as sorted ids of their event keys, interned
+     per search: a memo entry then holds no strings. *)
+  let key_ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let key_id r =
+    let k = event_key r in
+    match Hashtbl.find_opt key_ids k with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length key_ids in
+        Hashtbl.add key_ids k i;
+        i
+  in
+  let build = builder fx proto in
   let rec go sys rprefix depth sleep =
     if st.states >= max_states then begin
       st.complete <- false;
@@ -280,9 +331,7 @@ let explore ?(max_steps = 40) ?(max_states = 2_000_000)
           let merged =
             dedup
             &&
-            let cur =
-              List.sort String.compare (List.map event_key sleep)
-            in
+            let cur = List.sort Int.compare (List.map key_id sleep) in
             let dig = digest_sys sys in
             match Hashtbl.find_opt memo dig with
             | Some entries
@@ -329,7 +378,7 @@ let explore ?(max_steps = 40) ?(max_states = 2_000_000)
                           st.replays <- st.replays + 1;
                           st.replayed_events <-
                             st.replayed_events + depth + 1;
-                          let s = build fx proto in
+                          let s = build () in
                           List.iter (fire s) (List.rev (ch :: rprefix));
                           s
                     in
@@ -342,7 +391,7 @@ let explore ?(max_steps = 40) ?(max_states = 2_000_000)
           end
         end
   in
-  (try go (build fx proto) [] 0 [] with Abort -> ());
+  (try go (build ()) [] 0 [] with Abort -> ());
   { stats = st; violation = !first }
 
 let random_walks ?(max_steps = 40) ~walks ~seed fx proto =
@@ -350,9 +399,10 @@ let random_walks ?(max_steps = 40) ~walks ~seed fx proto =
   st.complete <- false;
   let first = ref None in
   let rng = Rng.create seed in
+  let build = builder fx proto in
   (try
      for _ = 1 to walks do
-       let sys = build fx proto in
+       let sys = build () in
        let rprefix = ref [] in
        let depth = ref 0 in
        let stop = ref false in
@@ -404,7 +454,7 @@ let minimize ?max_steps fx proto viol =
   !best
 
 let replay fx proto trace =
-  let sys = build fx proto in
+  let sys = builder fx proto () in
   List.iter
     (fun ch ->
       (* Cross-check recorded metadata before firing: a stale trace
@@ -429,7 +479,7 @@ let replay fx proto trace =
   violation_of sys
 
 let digest fx proto prefix =
-  let sys = build fx proto in
+  let sys = builder fx proto () in
   List.iter (fire sys) prefix;
   digest_sys sys
 
@@ -578,6 +628,18 @@ let read_trace ~path =
       | None, Some (fx, proto), Some v -> Ok (fx, proto, List.rev !steps, v))
 
 let debug_ready fx proto prefix =
-  let sys = build fx proto in
+  let sys = builder fx proto () in
   List.iter (fire sys) prefix;
   Engine.ready_set sys.engine
+
+let prelude_views fx proto =
+  let build = builder fx proto in
+  let view sys =
+    ( digest_sys sys,
+      List.map
+        (fun (r : Controlled_queue.ready) ->
+          (r.Controlled_queue.r_seq, r.r_label))
+        (Engine.pending_set sys.engine) )
+  in
+  let selected = view (build ()) in
+  (selected, view (build ()))

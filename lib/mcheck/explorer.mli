@@ -12,11 +12,16 @@
     - {e sleep sets} over the independence relation "two floating
       deliveries at distinct nodes commute" (timed events advance the
       shared clock and are dependent with everything);
-    - {e state matching} on a digest of routing state + pending-event
-      multiset, re-exploring a revisited state unless the stored visit
-      had a subset sleep set at no greater depth.  The digest is a
-      hash, so an astronomically-unlikely collision could hide a
-      schedule; docs/MODEL_CHECKING.md spells the caveat out.
+    - {e state matching} on the canonical state (routing state, clock,
+      monitor count, pending-event multiset), re-exploring a revisited
+      state unless the stored visit had a subset sleep set at no
+      greater depth.  The memo is keyed by the 128-bit MD5 of an
+      injective serialisation of that state, so distinct states do not
+      merge.
+
+    A search builds its first system with the selecting prelude
+    ({!Fixture}) and records the prelude's [(instant, seq)] schedule;
+    every rebuild in the same call re-fires that schedule by seq.
 
     Violations checked after every fired event: a successor-graph
     cycle ({!Experiment.Testnet.find_cycle} — the AODV detector) and
@@ -94,9 +99,10 @@ val replay : Fixture.t -> protocol -> choice list -> vkind option
     choice names an event that does not exist at that point — replay
     divergence, i.e. a trace from different code or fixture. *)
 
-val digest : Fixture.t -> protocol -> choice list -> int
-(** State digest after replaying the prefix: routing tables, clock,
-    monitor count, pending-event multiset.  The determinism regression
+val digest : Fixture.t -> protocol -> choice list -> Digest.t
+(** State digest after replaying the prefix: the MD5 of the canonical
+    state (routing tables, clock, monitor count, pending-event
+    multiset) that state matching keys on.  The determinism regression
     asserts equal prefixes give equal digests. *)
 
 (** Replayable violation trace files (JSONL, parsed with
@@ -118,3 +124,12 @@ val debug_ready :
   Fixture.t -> protocol -> choice list -> Sim.Controlled_queue.ready list
 (** Ready set after replaying a prefix — introspection for tests and
     tooling. *)
+
+val prelude_views :
+  Fixture.t ->
+  protocol ->
+  (Digest.t * (int * string) list) * (Digest.t * (int * string) list)
+(** Two consecutive builds of one search, each as its state digest and
+    pending [(seq, label)] set: the first from the selecting prelude,
+    the second re-firing the schedule the first recorded.  They must be
+    equal — introspection for tests. *)

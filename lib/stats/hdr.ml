@@ -10,13 +10,19 @@
    i.e. each power-of-two range [2^k, 2^(k+1)) contributes 2^p
    sub-buckets of width 2^(k-p).  For k = p this continues the linear
    region seamlessly.  k is at most 61 for positive ints, so the
-   table has (63 - p) * 2^p slots — about 7k cells (56 KB) at the
-   default p = 7. *)
+   table has (63 - p) * 2^p slots — about 7k cells at the default
+   p = 7.
+
+   The slots are stored as 63 - p rows of 2^p cells (row = index lsr p),
+   and a row is allocated the first time a value lands in it.  A run
+   touches a handful of rows, and at the default p a row is 128 words:
+   small enough for the minor heap, so creating a histogram allocates
+   nothing on the major heap. *)
 
 type t = {
   sub_bits : int;
   sub_count : int; (* 2^sub_bits *)
-  counts : int array;
+  rows : int array array; (* [||] until the row is first used *)
   mutable total : int;
   mutable sum : int;
   mutable min_v : int;
@@ -26,11 +32,10 @@ type t = {
 let create ?(sub_bits = 7) () =
   if sub_bits < 0 || sub_bits > 14 then
     invalid_arg "Hdr.create: sub_bits outside [0, 14]";
-  let sub_count = 1 lsl sub_bits in
   {
     sub_bits;
-    sub_count;
-    counts = Array.make ((63 - sub_bits) * sub_count) 0;
+    sub_count = 1 lsl sub_bits;
+    rows = Array.make (63 - sub_bits) [||];
     total = 0;
     sum = 0;
     min_v = max_int;
@@ -38,7 +43,7 @@ let create ?(sub_bits = 7) () =
   }
 
 let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.rows;
   t.total <- 0;
   t.sum <- 0;
   t.min_v <- max_int;
@@ -76,10 +81,21 @@ let bucket_width t i =
     let k = (i lsr t.sub_bits) + t.sub_bits - 1 in
     1 lsl (k - t.sub_bits)
 
+let ensure_row t r =
+  let row = t.rows.(r) in
+  if Array.length row > 0 then row
+  else begin
+    let row = Array.make t.sub_count 0 in
+    t.rows.(r) <- row;
+    row
+  end
+
 let add t v =
   let v = if v < 0 then 0 else v in
   let i = index t v in
-  t.counts.(i) <- t.counts.(i) + 1;
+  let row = ensure_row t (i lsr t.sub_bits) in
+  let c = i land (t.sub_count - 1) in
+  row.(c) <- row.(c) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;
   if v < t.min_v then t.min_v <- v;
@@ -101,39 +117,55 @@ let highest_equivalent t v =
   let i = index t v in
   value_at t i + bucket_width t i - 1
 
+(* The bucket holding the first count at or past rank, as the highest
+   value it covers clamped to the exact extremes. *)
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Hdr.quantile: q outside [0,1]";
   if t.total = 0 then 0
   else begin
     let r = int_of_float (Float.ceil (q *. float_of_int t.total)) in
     let rank = if r < 1 then 1 else if r > t.total then t.total else r in
-    let n = Array.length t.counts in
-    let rec walk i cum =
-      if i >= n then t.max_v
+    let rec walk r c cum =
+      if r >= Array.length t.rows then t.max_v
       else
-        let cum = cum + t.counts.(i) in
-        if cum >= rank then
-          let v = value_at t i + bucket_width t i - 1 in
-          if v < t.min_v then t.min_v else if v > t.max_v then t.max_v else v
-        else walk (i + 1) cum
+        let row = t.rows.(r) in
+        if c >= Array.length row then walk (r + 1) 0 cum
+        else
+          let cum = cum + row.(c) in
+          if cum >= rank then
+            let i = (r lsl t.sub_bits) lor c in
+            let v = value_at t i + bucket_width t i - 1 in
+            if v < t.min_v then t.min_v else if v > t.max_v then t.max_v else v
+          else walk r (c + 1) cum
     in
-    walk 0 0
+    walk 0 0 0
   end
 
 let merge_into ~into src =
   if into.sub_bits <> src.sub_bits then
     invalid_arg "Hdr.merge_into: sub_bits mismatch";
-  for i = 0 to Array.length src.counts - 1 do
-    let c = src.counts.(i) in
-    if c <> 0 then into.counts.(i) <- into.counts.(i) + c
-  done;
+  Array.iteri
+    (fun r src_row ->
+      Array.iteri
+        (fun c n ->
+          if n <> 0 then begin
+            let row = ensure_row into r in
+            row.(c) <- row.(c) + n
+          end)
+        src_row)
+    src.rows;
   into.total <- into.total + src.total;
   into.sum <- into.sum + src.sum;
   if src.min_v < into.min_v then into.min_v <- src.min_v;
   if src.max_v > into.max_v then into.max_v <- src.max_v
 
 let iter_buckets t f =
-  for i = 0 to Array.length t.counts - 1 do
-    let c = t.counts.(i) in
-    if c <> 0 then f ~value:(value_at t i + bucket_width t i - 1) ~count:c
-  done
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun c n ->
+          if n <> 0 then
+            let i = (r lsl t.sub_bits) lor c in
+            f ~value:(value_at t i + bucket_width t i - 1) ~count:n)
+        row)
+    t.rows

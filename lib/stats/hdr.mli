@@ -1,4 +1,4 @@
-(** Zero-allocation log-bucketed histogram with exact mergeability.
+(** Log-bucketed histogram with exact mergeability.
 
     Values are non-negative integers (typically latencies in
     nanoseconds).  Buckets are log-linear: values below [2^sub_bits]
@@ -6,7 +6,9 @@
     into [2^sub_bits] equal sub-buckets, so the relative quantile
     error is bounded by [2^-sub_bits] (< 1 % at the default
     [sub_bits = 7]).  Recording touches one array cell and a few
-    scalar fields — no allocation, no sorting, O(1).
+    scalar fields — no sorting, O(1).  Cells are kept in rows of
+    [2^sub_bits], and a row is allocated the first time a value lands
+    in it; every later record into that row allocates nothing.
 
     Merging adds bucket counts elementwise, which makes [merge_into]
     exactly associative and commutative: aggregating per-trial or

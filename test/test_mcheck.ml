@@ -50,7 +50,7 @@ let replay_determinism () =
   let take n l = List.filteri (fun i _ -> i < n) l in
   for n = 0 to List.length trace do
     let p = take n trace in
-    checki
+    Alcotest.(check string)
       (Printf.sprintf "digest stable at prefix %d" n)
       (Explorer.digest fx3 Explorer.Aodv p)
       (Explorer.digest fx3 Explorer.Aodv p)
@@ -121,6 +121,91 @@ let prelude_quiesces () =
         "only the link-down script step is ready" "SCRIPT down 0-2"
         r.Controlled_queue.r_label
   | l -> Alcotest.fail (Printf.sprintf "%d events ready" (List.length l))
+
+(* The search pinned field by field.  Any change to replay, pruning or
+   state matching that alters what is explored moves one of these.
+   Bound 14 keeps each search well under a second. *)
+let pinned_stats () =
+  let expect name fx proto ~stop_at_first (e : Explorer.stats) =
+    let s =
+      (Explorer.explore ~max_steps:14 ~stop_at_first fx proto).Explorer.stats
+    in
+    let f field = Printf.sprintf "%s %s" name field in
+    checki (f "states") e.states s.Explorer.states;
+    checki (f "transitions") e.transitions s.transitions;
+    checki (f "sleep_skipped") e.sleep_skipped s.sleep_skipped;
+    checki (f "state_merged") e.state_merged s.state_merged;
+    checki (f "depth_cut") e.depth_cut s.depth_cut;
+    checki (f "terminals") e.terminals s.terminals;
+    checki (f "replays") e.replays s.replays;
+    checki (f "replayed_events") e.replayed_events s.replayed_events;
+    checki (f "max_depth") e.max_depth s.max_depth;
+    checki (f "violations") e.violations s.violations;
+    checkb (f "complete") e.complete s.complete
+  in
+  expect "aodv-loop-3 aodv" fx3 Explorer.Aodv ~stop_at_first:true
+    {
+      Explorer.states = 10029;
+      transitions = 10028;
+      sleep_skipped = 1542;
+      state_merged = 2784;
+      depth_cut = 5133;
+      terminals = 1;
+      replays = 7938;
+      replayed_events = 104412;
+      max_depth = 14;
+      violations = 1;
+      complete = true;
+    };
+  expect "aodv-loop-3 ldr" fx3 Explorer.Ldr ~stop_at_first:false
+    {
+      Explorer.states = 11039;
+      transitions = 11038;
+      sleep_skipped = 1145;
+      state_merged = 4780;
+      depth_cut = 3954;
+      terminals = 0;
+      replays = 8739;
+      replayed_events = 110464;
+      max_depth = 14;
+      violations = 0;
+      complete = true;
+    };
+  expect "line-4 ldr" Fixture.line_4 Explorer.Ldr ~stop_at_first:false
+    {
+      Explorer.states = 1303;
+      transitions = 1302;
+      sleep_skipped = 237;
+      state_merged = 218;
+      depth_cut = 691;
+      terminals = 3;
+      replays = 933;
+      replayed_events = 12172;
+      max_depth = 14;
+      violations = 0;
+      complete = true;
+    }
+
+(* A search selects its prelude once and re-fires the recorded schedule
+   in every rebuild; the rebuilt start must be the selected one, down to
+   the seq ids and labels of every pending event. *)
+let prelude_schedule_rebuilds () =
+  List.iter
+    (fun name ->
+      let fx = Option.get (Fixture.builtin name) in
+      List.iter
+        (fun proto ->
+          let (sel_digest, sel_pending), (re_digest, re_pending) =
+            Explorer.prelude_views fx proto
+          in
+          let what = name ^ " " ^ Explorer.protocol_name proto in
+          Alcotest.(check string) (what ^ " digest") sel_digest re_digest;
+          Alcotest.(check (list (pair int string)))
+            (what ^ " pending") sel_pending re_pending;
+          checkb (what ^ " prelude left events pending") true
+            (sel_pending <> []))
+        [ Explorer.Aodv; Explorer.Ldr ])
+    Fixture.builtin_names
 
 (* The .topo file and the compiled-in builtin must stay in sync. *)
 let topo_file_matches_builtin () =
@@ -225,6 +310,9 @@ let () =
           Alcotest.test_case "pruned matches unpruned" `Quick
             pruned_matches_unpruned;
           Alcotest.test_case "prelude quiesces" `Quick prelude_quiesces;
+          Alcotest.test_case "pinned stats" `Quick pinned_stats;
+          Alcotest.test_case "prelude schedule rebuilds" `Quick
+            prelude_schedule_rebuilds;
         ] );
       ( "fixtures",
         [

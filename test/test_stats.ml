@@ -204,6 +204,178 @@ let hdr_merge_mismatch () =
       Hdr.merge_into ~into:a b)
 
 
+(* The flat-array histogram Hdr used to be — one (63 - p) * 2^p array,
+   allocated whole at create — kept as the oracle for the row layout. *)
+module Flat_hdr = struct
+  type t = {
+    sub_bits : int;
+    sub_count : int;
+    counts : int array;
+    mutable total : int;
+    mutable sum : int;
+    mutable min_v : int;
+    mutable max_v : int;
+  }
+
+  let create ~sub_bits =
+    let sub_count = 1 lsl sub_bits in
+    {
+      sub_bits;
+      sub_count;
+      counts = Array.make ((63 - sub_bits) * sub_count) 0;
+      total = 0;
+      sum = 0;
+      min_v = max_int;
+      max_v = 0;
+    }
+
+  let clear t =
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    t.total <- 0;
+    t.sum <- 0;
+    t.min_v <- max_int;
+    t.max_v <- 0
+
+  let rec bit_length v = if v <= 1 then 0 else 1 + bit_length (v lsr 1)
+
+  let index t v =
+    if v < t.sub_count then v
+    else
+      let k = bit_length v in
+      ((k - t.sub_bits + 1) lsl t.sub_bits)
+      lor ((v - (1 lsl k)) lsr (k - t.sub_bits))
+
+  let value_at t i =
+    if i < t.sub_count then i
+    else
+      let k = (i lsr t.sub_bits) + t.sub_bits - 1 in
+      (1 lsl k) lor ((i land (t.sub_count - 1)) lsl (k - t.sub_bits))
+
+  let bucket_width t i =
+    if i < t.sub_count then 1
+    else 1 lsl ((i lsr t.sub_bits) - 1)
+
+  let add t v =
+    let v = if v < 0 then 0 else v in
+    let i = index t v in
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.total <- t.total + 1;
+    t.sum <- t.sum + v;
+    if v < t.min_v then t.min_v <- v;
+    if v > t.max_v then t.max_v <- v
+
+  let min_value t = if t.total = 0 then 0 else t.min_v
+
+  let mean t =
+    if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
+
+  let quantile t q =
+    if t.total = 0 then 0
+    else begin
+      let r = int_of_float (Float.ceil (q *. float_of_int t.total)) in
+      let rank = if r < 1 then 1 else if r > t.total then t.total else r in
+      let rec walk i cum =
+        if i >= Array.length t.counts then t.max_v
+        else
+          let cum = cum + t.counts.(i) in
+          if cum >= rank then
+            let v = value_at t i + bucket_width t i - 1 in
+            if v < t.min_v then t.min_v else if v > t.max_v then t.max_v else v
+          else walk (i + 1) cum
+      in
+      walk 0 0
+    end
+
+  let merge_into ~into src =
+    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
+    into.total <- into.total + src.total;
+    into.sum <- into.sum + src.sum;
+    if src.min_v < into.min_v then into.min_v <- src.min_v;
+    if src.max_v > into.max_v then into.max_v <- src.max_v
+
+  let buckets t =
+    let acc = ref [] in
+    Array.iteri
+      (fun i c ->
+        if c <> 0 then acc := (value_at t i + bucket_width t i - 1, c) :: !acc)
+      t.counts;
+    List.rev !acc
+end
+
+type hdr_op = Add of bool * int | Merge of bool | Clear of bool
+
+(* Values over every magnitude: 0, negatives (clamped), the linear
+   region, each power-of-two range, and the top of the int range. *)
+let hdr_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_bound 300);
+        (4, map2 (fun k x -> (x land max_int) lsr k) (int_bound 62) int);
+        (1, oneofl [ 0; -1; -1000; min_int; max_int; max_int - 1; 1 lsl 61 ]);
+        (1, int);
+      ])
+
+let hdr_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun a v -> Add (a, v)) bool hdr_value_gen);
+        (1, map (fun a -> Merge a) bool);
+        (1, map (fun a -> Clear a) bool);
+      ])
+
+let print_hdr_op = function
+  | Add (a, v) -> Printf.sprintf "add %c %d" (if a then 'A' else 'B') v
+  | Merge a -> if a then "merge B into A" else "merge A into B"
+  | Clear a -> Printf.sprintf "clear %c" (if a then 'A' else 'B')
+
+(* Two histograms and their flat twins run the same random ops; every
+   reading agrees, at every sub_bits. *)
+let hdr_matches_flat_prop =
+  QCheck.Test.make ~count:150 ~name:"hdr rows match the flat array"
+    QCheck.(
+      make
+        ~print:(fun (p, ops) ->
+          Printf.sprintf "sub_bits %d: %s" p
+            (String.concat "; " (List.map print_hdr_op ops)))
+        Gen.(pair (int_bound 14) (list_size (0 -- 40) hdr_op_gen)))
+    (fun (sub_bits, ops) ->
+      let a = Hdr.create ~sub_bits () and b = Hdr.create ~sub_bits () in
+      let fa = Flat_hdr.create ~sub_bits and fb = Flat_hdr.create ~sub_bits in
+      let pick x (h, f) (h', f') = if x then (h, f) else (h', f') in
+      List.iter
+        (function
+          | Add (x, v) ->
+              let h, f = pick x (a, fa) (b, fb) in
+              Hdr.add h v;
+              Flat_hdr.add f v
+          | Merge x ->
+              let (h, f), (h', f') =
+                if x then ((a, fa), (b, fb)) else ((b, fb), (a, fa))
+              in
+              Hdr.merge_into ~into:h h';
+              Flat_hdr.merge_into ~into:f f'
+          | Clear x ->
+              let h, f = pick x (a, fa) (b, fb) in
+              Hdr.clear h;
+              Flat_hdr.clear f)
+        ops;
+      let same h (f : Flat_hdr.t) =
+        let buckets = ref [] in
+        Hdr.iter_buckets h (fun ~value ~count ->
+            buckets := (value, count) :: !buckets);
+        Hdr.count h = f.total && Hdr.sum h = f.sum
+        && Hdr.min_value h = Flat_hdr.min_value f
+        && Hdr.max_value h = f.max_v
+        && Float.equal (Hdr.mean h) (Flat_hdr.mean f)
+        && List.rev !buckets = Flat_hdr.buckets f
+        && List.for_all
+             (fun q -> Hdr.quantile h q = Flat_hdr.quantile f q)
+             [ 0.; 0.001; 0.25; 0.5; 0.9; 0.99; 0.999; 1. ]
+      in
+      same a fa && same b fb)
+
 let table_renders () =
   let s =
     Table.render ~header:[ "name"; "value" ]
@@ -253,6 +425,7 @@ let () =
           Alcotest.test_case "merge mismatch" `Quick hdr_merge_mismatch;
           qt hdr_vs_sorted_prop;
           qt hdr_merge_assoc_prop;
+          qt hdr_matches_flat_prop;
         ] );
       ( "table",
         [
