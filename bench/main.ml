@@ -438,8 +438,8 @@ let discovery ~scale () =
 (* ---- Sparse scenario and timing helpers --------------------------------- *)
 
 (* A fixed mobile scenario grown to N nodes at constant node density
-   (the paper's 5:1 terrain aspect) with 10 flows, used by the scale,
-   obs and pdes sections. *)
+   (the paper's 5:1 terrain aspect) with 10 flows, used by the scale
+   and obs sections. *)
 
 let channel_duration_s = 60.
 
@@ -485,13 +485,6 @@ let timed_run ?(reps = 3) sc =
     out := Some o
   done;
   (!best, Option.get !out, !minor, !promoted)
-
-let identical_outcomes (a : Runner.outcome) (b : Runner.outcome) =
-  Stdlib.compare a.Runner.summary b.Runner.summary = 0
-  && a.Runner.events_processed = b.Runner.events_processed
-  && a.Runner.transmissions = b.Runner.transmissions
-  && a.Runner.mac_queue_drops = b.Runner.mac_queue_drops
-  && a.Runner.mac_unicast_failures = b.Runner.mac_unicast_failures
 
 (* ---- City scale: 1k/10k-node timings and the scenario families --------- *)
 
@@ -1044,205 +1037,6 @@ let parallel_sweep ~scale () =
   close_out oc;
   Printf.printf "  (wrote BENCH_parallel.json)\n%!"
 
-(* ---- Intra-run PDES: one simulation sharded across spatial regions ------ *)
-
-(* One Fig-5-shaped simulation grown to 1000 nodes at constant density
-   (5:1 aspect, 30 flows, pause 0), run whole at shards = 1, 2, 4, 8.
-   Unlike the parallel sweep — many independent trials — this shards a
-   single run, so the speedup ceiling is the window-synchronisation
-   overhead and the border traffic, both of which BENCH_pdes.json
-   records.  Two conformance gates ride along: a border-free fixture
-   must produce byte-identical outcomes at every shard count, and a
-   border-crossing fixture must be exactly reproducible at fixed K. *)
-
-let pdes_shard_counts = [ 1; 2; 4; 8 ]
-let pdes_duration ~scale = Stdlib.min scale.duration 20.
-
-let pdes_scenario ~scale ~shards =
-  {
-    (channel_scenario ~nodes:1000) with
-    Scenario.label = Printf.sprintf "pdes-1000n-k%d" shards;
-    duration = Time.sec (pdes_duration ~scale);
-    traffic = { Traffic.default_config with Traffic.num_flows = 30 };
-    shards;
-  }
-
-(* The same border-free two-cluster fixture test/test_pdes.ml pins:
-   every node is > 550 m (one carrier-sense range) from the other
-   cluster and from any border a 2-, 3- or 4-way split produces. *)
-let pdes_border_free ~shards =
-  let cluster x0 =
-    List.concat_map
-      (fun dx ->
-        List.map (fun y -> Geom.Vec2.v (x0 +. dx) y) [ 60.; 150.; 240. ])
-      [ 0.; 150.; 300. ]
-  in
-  let positions = cluster 150. @ cluster 1950. in
-  {
-    (Scenario.paper_50 Scenario.ldr) with
-    Scenario.label = "pdes-border-free";
-    num_nodes = List.length positions;
-    terrain = Geom.Terrain.create ~width:2400. ~height:300.;
-    placement = Scenario.Fixed positions;
-    speed_min = 0.;
-    speed_max = 0.;
-    duration = Time.sec 10.;
-    traffic = { Traffic.default_config with Traffic.num_flows = 3 };
-    shards;
-  }
-
-type pdes_point = {
-  pd_shards : int;
-  pd_workers : int;
-  pd_wall_s : float;
-  pd_events : int;
-  pd_windows : int;
-  pd_messages : int;
-  pd_transmissions : int;
-  pd_delivery : float;
-  pd_minor_words : float;
-  pd_promoted_words : float;
-  pd_worker_minor : float array;
-}
-
-let pdes_bench_json ~scale ~conformant ~reproducible points =
-  let baseline = List.hd points in
-  let point p =
-    let workers_json =
-      String.concat ", "
-        (Array.to_list (Array.map (Printf.sprintf "%.0f") p.pd_worker_minor))
-    in
-    Printf.sprintf
-      "    { \"shards\": %d, \"workers\": %d, \"wall_s\": %.4f, \"speedup\": \
-       %.2f, \"events\": %d, \"events_per_s\": %.0f, \"windows\": %d, \
-       \"cross_shard_frames\": %d, \"cross_shard_frames_per_tx\": %.3f, \
-       \"transmissions\": %d, \"delivery_ratio\": %.4f, \"minor_words\": \
-       %.0f, \"promoted_words\": %.0f, \"worker_minor_words\": [%s] }"
-      p.pd_shards p.pd_workers p.pd_wall_s
-      (baseline.pd_wall_s /. p.pd_wall_s)
-      p.pd_events
-      (float_of_int p.pd_events /. p.pd_wall_s)
-      p.pd_windows p.pd_messages
-      (float_of_int p.pd_messages
-      /. float_of_int (Stdlib.max 1 p.pd_transmissions))
-      p.pd_transmissions p.pd_delivery p.pd_minor_words p.pd_promoted_words
-      workers_json
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmark\": \"pdes-sharding\",";
-      Printf.sprintf
-        "  \"scenario\": \"one LDR random-waypoint run, 1000 nodes at %g \
-         m2/node (5:1 aspect), 30 flows, pause 0, %g s simulated\","
-        channel_area_per_node (pdes_duration ~scale);
-      Printf.sprintf "  \"recommended_domains\": %d,"
-        (Experiment.Parallel.recommended_jobs ());
-      "  \"lookahead_note\": \"window width = difs + slot = 70 us; \
-       cross-border frames arrive one window late (documented relaxation, \
-       docs/PARALLELISM.md)\",";
-      Printf.sprintf "  \"border_free_identical_shards_1_2_4\": %b,"
-        conformant;
-      Printf.sprintf "  \"fixed_k_reproducible\": %b," reproducible;
-      "  \"shards_1_is_classic_dispatch\": true,";
-      "  \"points\": [";
-      String.concat ",\n" (List.map point points);
-      "  ]";
-      "}";
-    ]
-
-let pdes_bench ~scale () =
-  heading "PDES: one 1000-node run spatially sharded (Sim.Pdes)";
-  let reps = Stdlib.max 1 (Stdlib.min 2 scale.trials) in
-  Printf.printf
-    "  1000 nodes, 30 flows, %g s simulated; shards %s; %d core(s) \
-     recommended\n%!"
-    (pdes_duration ~scale)
-    (String.concat "/" (List.map string_of_int pdes_shard_counts))
-    (Experiment.Parallel.recommended_jobs ());
-  let points =
-    List.map
-      (fun k ->
-        let wall, o, minor, promoted =
-          timed_run ~reps (pdes_scenario ~scale ~shards:k)
-        in
-        {
-          pd_shards = k;
-          pd_workers =
-            Stdlib.max 1
-              (Stdlib.min (Experiment.Parallel.recommended_jobs ()) k);
-          pd_wall_s = wall;
-          pd_events = o.Runner.events_processed;
-          pd_windows = o.Runner.pdes_windows;
-          pd_messages = o.Runner.pdes_messages;
-          pd_transmissions = o.Runner.transmissions;
-          pd_delivery = Metrics.delivery_ratio o.Runner.metrics;
-          pd_minor_words = minor;
-          pd_promoted_words = promoted;
-          pd_worker_minor = o.Runner.pdes_worker_minor_words;
-        })
-      pdes_shard_counts
-  in
-  let baseline = List.hd points in
-  print_endline
-    (Stats.Table.render
-       ~header:
-         [ "shards"; "workers"; "wall s"; "speedup"; "events/s"; "windows";
-           "x-shard frames"; "delivery" ]
-       (List.map
-          (fun p ->
-            [
-              string_of_int p.pd_shards;
-              string_of_int p.pd_workers;
-              Printf.sprintf "%.3f" p.pd_wall_s;
-              Printf.sprintf "%.2fx" (baseline.pd_wall_s /. p.pd_wall_s);
-              Printf.sprintf "%.2e"
-                (float_of_int p.pd_events /. p.pd_wall_s);
-              string_of_int p.pd_windows;
-              string_of_int p.pd_messages;
-              Printf.sprintf "%.4f" p.pd_delivery;
-            ])
-          points));
-  (* Conformance gate 1: when no radio interaction crosses a border,
-     the shard count must be unobservable — byte-identical outcomes. *)
-  let base = Runner.run (pdes_border_free ~shards:1) in
-  let conformant =
-    List.for_all
-      (fun k -> identical_outcomes base (Runner.run (pdes_border_free ~shards:k)))
-      [ 2; 4 ]
-  in
-  Printf.printf
-    "  conformance: border-free outcomes identical across shards 1/2/4: %b\n%!"
-    conformant;
-  (* Conformance gate 2: border-crossing runs are exactly reproducible
-     at a fixed shard count. *)
-  let crossing =
-    {
-      (pdes_border_free ~shards:4) with
-      Scenario.label = "pdes-crossing";
-      num_nodes = 24;
-      terrain = Geom.Terrain.create ~width:1200. ~height:300.;
-      placement = Scenario.Grid;
-    }
-  in
-  let c1 = Runner.run crossing and c2 = Runner.run crossing in
-  let reproducible = identical_outcomes c1 c2 && c1.Runner.pdes_messages > 0 in
-  Printf.printf
-    "  conformance: border-crossing run reproducible at fixed K=4: %b\n%!"
-    reproducible;
-  if Experiment.Parallel.recommended_jobs () = 1 then
-    Printf.printf
-      "  note: this machine exposes 1 core; every shard runs on one worker \
-       domain,\n\
-      \  so sharding can only add window overhead here.  The >=2x-at-4-shards\n\
-      \  target applies to multi-core (CI-class) hosts.\n%!";
-  let json = pdes_bench_json ~scale ~conformant ~reproducible points in
-  let oc = open_out "BENCH_pdes.json" in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "  (wrote BENCH_pdes.json)\n%!"
-
 (* ---- Wire codec: encode/decode throughput over the Fig-5 mix ------------ *)
 
 (* The packet population is not synthetic: a short Fig-5 run captures
@@ -1521,7 +1315,6 @@ let all_experiments =
     ("scale", scale_bench);
     ("obs", obs_overhead);
     ("parallel", parallel_sweep);
-    ("pdes", pdes_bench);
     ("codec", codec_bench);
     ("mcheck", mcheck_bench);
   ]
@@ -1550,7 +1343,7 @@ let () =
           selected := !selected @ [ name ]
       | other ->
           Printf.eprintf
-            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery scale obs parallel pdes codec mcheck bechamel all --full --quick --csv=DIR)\n"
+            "unknown argument %S (expected: table1 fig2..fig7 ablation aggregation discovery scale obs parallel codec mcheck bechamel all --full --quick --csv=DIR)\n"
             other;
           exit 2)
     args;

@@ -132,7 +132,7 @@ let telemetry_out =
     & opt (some string) None
     & info [ "telemetry" ] ~docv:"FILE"
         ~doc:"Write runtime telemetry (events/s, calendar-queue occupancy, \
-              PDES window utilisation, GC counters) to $(docv) as JSONL, \
+              spatial-index occupancy, GC counters) to $(docv) as JSONL, \
               one sample per $(b,--telemetry-every).")
 
 let telemetry_prom =
@@ -158,18 +158,6 @@ let inject_stale =
         ~doc:"Fault injection: at simulated second $(docv), feed one node \
               a forged RREP with an absurdly new sequence number — the \
               seeded corruption the invariant monitor is built to catch.")
-
-let shards =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Run the simulation itself across $(docv) spatial regions \
-           (conservative synchronous-window PDES, see \
-           docs/PARALLELISM.md); metrics are invariant in $(docv) for \
-           runs whose traffic stays clear of region borders, and the \
-           crossing latency is documented for the rest.  0 = one shard \
-           per recommended core, capped at the node count.")
 
 (* --- world options: mobility family, link model, churn, partition --- *)
 
@@ -238,7 +226,7 @@ let shadow =
         ~doc:
           "Log-normal shadowing with $(docv) dB standard deviation \
            (default $(b,--shadow)=4): per-link fades are deterministic in \
-           the seed, so reruns and shard counts reproduce exactly.")
+           the seed, so reruns reproduce exactly.")
 
 let churn =
   Arg.(
@@ -319,7 +307,7 @@ let default_world =
     w_partition = None;
   }
 
-let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
+let scenario ?(world = default_world) protocol nodes width height
     flows pps pause speed_max duration seed audit =
   {
     Scenario.label = "cli";
@@ -342,7 +330,6 @@ let scenario ?(shards = 1) ?(world = default_world) protocol nodes width height
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    shards;
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
@@ -458,20 +445,17 @@ let print_outcome (o : Runner.outcome) =
   Format.printf "mean dest seqno   %.2f@." (Metrics.mean_dest_seqno m);
   Format.printf "loop violations   %d@." (Metrics.loop_violations m);
   Format.printf "invariant viols   %d@." o.invariant_violations;
-  Format.printf "events processed  %d@." o.events_processed;
-  if o.pdes_windows > 0 then
-    Format.printf "pdes windows      %d (%d cross-shard frames)@."
-      o.pdes_windows o.pdes_messages
+  Format.printf "events processed  %d@." o.events_processed
 
 let run_cmd =
   let action protocol nodes width height flows pps pause speed_max duration
       seed audit trace json trace_out pcap_out monitor sample sample_out
-      telemetry_out telemetry_prom telemetry_every inject_stale shards world =
+      telemetry_out telemetry_prom telemetry_every inject_stale world =
     if trace then Trace.enable ();
     validated
       (fun () ->
         let sc =
-          scenario ~shards ~world protocol nodes width height flows pps pause
+          scenario ~world protocol nodes width height flows pps pause
             speed_max duration seed audit
         in
         Traffic.validate ~num_nodes:sc.num_nodes sc.traffic;
@@ -482,29 +466,16 @@ let run_cmd =
         "%s: %d nodes on %.0fx%.0fm, %d flows @ %g pps, pause %gs, %gs@."
         (Scenario.protocol_name protocol)
         nodes width height flows pps pause duration;
-    (* --shards 0 (auto) may resolve either way; the fault injector has
-       a classic and a sharded form, so pick after resolution. *)
-    let sharded = Runner.resolve_shards sc >= 2 in
     let prepare =
-      if sharded then None
-      else
-        Option.map
-          (fun t sim -> ignore (Fault.stale_seqno sim ~at:(Time.sec t)))
-          inject_stale
-    in
-    let prepare_pdes =
-      if not sharded then None
-      else
-        Option.map
-          (fun t psim ->
-            ignore (Fault.stale_seqno_sharded psim ~at:(Time.sec t)))
-          inject_stale
+      Option.map
+        (fun t sim -> ignore (Fault.stale_seqno sim ~at:(Time.sec t)))
+        inject_stale
     in
     let outcome =
       Runner.run ~monitor ?trace_out ?pcap_out
         ?sample:(Option.map Time.sec sample)
         ~sample_out ?telemetry_out ?telemetry_prom
-        ~telemetry_every:(Time.sec telemetry_every) ?prepare ?prepare_pdes sc
+        ~telemetry_every:(Time.sec telemetry_every) ?prepare sc
     in
     if json then print_outcome_json outcome else print_outcome outcome
   in
@@ -514,7 +485,7 @@ let run_cmd =
         (const action $ protocol $ nodes $ width $ height $ flows $ pps $ pause
        $ speed_max $ duration $ seed $ audit $ trace $ json $ trace_out
        $ pcap_out $ monitor $ sample $ sample_out $ telemetry_out
-       $ telemetry_prom $ telemetry_every $ inject_stale $ shards $ world_term
+       $ telemetry_prom $ telemetry_every $ inject_stale $ world_term
         ))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one scenario and print its metrics.") term

@@ -28,7 +28,6 @@ let scenario protocol seed =
     net = Net.Params.default;
     seed;
     audit_loops = true;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

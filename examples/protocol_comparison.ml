@@ -28,7 +28,6 @@ let scenario protocol =
     net = Net.Params.default;
     seed = 11;
     audit_loops = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

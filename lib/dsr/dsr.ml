@@ -243,7 +243,7 @@ let handle_rerr t ~sr_remaining ~(rerr : Dsr_msg.rerr) =
           (Dsr_msg.Rerr { sr_remaining = rest; rerr })
 
 let send_rerr t ~(data : Data_msg.t) ~full_route ~broken_to =
-  (* Route the error back over the prefix this packet already crossed. *)
+  (* Route the error back over the prefix this packet already traversed. *)
   let rec prefix_before acc = function
     | [] -> None
     | x :: _ when Node_id.equal x t.ctx.id -> Some acc

@@ -35,11 +35,3 @@ val stale_seqno : ?stamp:int -> Runner.sim -> at:Sim.Time.t -> injection
     [victim]/[dst]/[via] fields are filled — once the fault has
     actually been injected.  Pass via {!Runner.run}'s [prepare]
     callback or call on a built {!Runner.sim} before running. *)
-
-val stale_seqno_sharded :
-  ?stamp:int -> Runner.psim -> at:Sim.Time.t -> injection
-(** {!stale_seqno} for a sharded (PDES) run: the victim scan happens at
-    the first window boundary at or after [at] — every shard quiesced,
-    so the scan sees the same global state as the classic injector
-    event — and the forged delivery runs as one event at [at] on the
-    victim's home engine.  Pass via {!Runner.run}'s [prepare_pdes]. *)

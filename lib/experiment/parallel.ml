@@ -8,7 +8,7 @@ let resolve_jobs jobs =
 (* Auto mode must never spawn more domains than there are work items:
    the spare domains would only pay startup cost and skew per-domain GC
    deltas.  Every jobs=0 consumer (map, the sweep benchmark's reported
-   worker count, the CLI's [--shards 0]) resolves through here. *)
+   worker count) resolves through here. *)
 let effective_jobs ~items jobs =
   Stdlib.max 1 (Stdlib.min (resolve_jobs jobs) items)
 

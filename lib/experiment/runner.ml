@@ -9,9 +9,6 @@ type outcome = {
   mac_unicast_failures : int;
   transmissions : int;
   invariant_violations : int;
-  pdes_windows : int;
-  pdes_messages : int;
-  pdes_worker_minor_words : float array;
 }
 
 type sim = {
@@ -71,12 +68,11 @@ let null_agent : Routing.Agent.t =
     reset = (fun ~crash:_ -> ());
   }
 
-(* Every node's mobility process, drawn in one canonical order shared
-   by the classic and PDES paths so all shard counts see identical
-   streams: RPGM group centres first (one [Rng.split mobility_rng]
-   each), then per node [i] ascending one split per node that draws
-   randomness at all.  Static nodes ([speed_max <= 0]) draw nothing —
-   exactly the pre-existing waypoint contract. *)
+(* Every node's mobility process, drawn in one canonical order: RPGM
+   group centres first (one [Rng.split mobility_rng] each), then per
+   node [i] ascending one split per node that draws randomness at all.
+   Static nodes ([speed_max <= 0]) draw nothing — exactly the
+   pre-existing waypoint contract. *)
 let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
   let n = sc.num_nodes in
   let static = sc.speed_max <= 0. in
@@ -124,46 +120,12 @@ let make_mobs (sc : Scenario.t) ~mobility_rng ~(starts : Geom.Vec2.t array) =
       done);
   mobs
 
-(* The world every channel and MAC of a run is built over.  On a sharded
-   run one store is shared by every region's channel: node [i]'s row is
-   only ever refreshed by events on its home shard (its radio is
-   attached to that channel alone) or at quiesced window boundaries, so
-   rows are touched by one domain per window. *)
-let make_nodes (sc : Scenario.t) mobs =
-  Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
-    ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
-
-(* Fresh per call: on a sharded run every region's channel gets its own
-   instance (the shadowing memo table is not shared across domains), all
-   drawing identical per-pair gains from the same scenario seed. *)
-let make_link (sc : Scenario.t) =
-  match (sc.shadowing, sc.partition) with
-  | None, None -> None
-  | sh, pa ->
-      let shadowing =
-        Option.map
-          (fun (s : Scenario.shadowing) ->
-            (sc.seed lxor 0x5348_4144, s.Scenario.sigma_db, s.Scenario.eta))
-          sh
-      in
-      let partition =
-        Option.map
-          (fun (p : Scenario.partition) ->
-            ( p.Scenario.part_at,
-              p.Scenario.part_heal,
-              p.Scenario.part_x_frac *. sc.terrain.Geom.Terrain.width ))
-          pa
-      in
-      Some (Net.Link_model.create ?shadowing ?partition ())
-
 (* One down/up cycle per selected node, precomputed from a stream
    independent of every simulation stream (placement, mobility,
-   traffic, MAC, agents), so arming churn changes no other draw.
-   [schedule] places the toggles: the classic path uses [Engine.at] on
-   the single engine, the sharded path on the node's home engine —
-   both are events at exact virtual times, so outcomes agree. *)
-let plan_churn (sc : Scenario.t) ~(schedule : int -> Time.t -> (unit -> unit) -> unit)
-    ~(take_down : int -> crash:bool -> unit) ~(bring_up : int -> unit) =
+   traffic, MAC, agents), so arming churn changes no other draw.  The
+   toggles are events at exact virtual times. *)
+let plan_churn (sc : Scenario.t) ~engine ~(take_down : int -> crash:bool -> unit)
+    ~(bring_up : int -> unit) =
   match sc.churn with
   | None -> ()
   | Some c ->
@@ -190,8 +152,8 @@ let plan_churn (sc : Scenario.t) ~(schedule : int -> Time.t -> (unit -> unit) ->
           in
           let t_up = Time.add t_down (Time.sec dur) in
           let crash = Rng.float r 1. < c.Scenario.crash_frac in
-          schedule i t_down (fun () -> take_down i ~crash);
-          schedule i t_up (fun () -> bring_up i)
+          ignore (Engine.at engine t_down (fun () -> take_down i ~crash));
+          ignore (Engine.at engine t_up (fun () -> bring_up i))
         end
       done
 
@@ -218,11 +180,34 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   let n = sc.num_nodes in
   let starts = Scenario.positions sc placement_rng in
   let mobs = make_mobs sc ~mobility_rng ~starts in
-  let nodes = make_nodes sc mobs in
+  let nodes =
+    Net.Nodes.create ~width:sc.terrain.Geom.Terrain.width
+      ~height:sc.terrain.Geom.Terrain.height mobs ~at:Time.zero
+  in
+  let link =
+    match (sc.shadowing, sc.partition) with
+    | None, None -> None
+    | sh, pa ->
+        let shadowing =
+          Option.map
+            (fun (s : Scenario.shadowing) ->
+              (sc.seed lxor 0x5348_4144, s.Scenario.sigma_db, s.Scenario.eta))
+            sh
+        in
+        let partition =
+          Option.map
+            (fun (p : Scenario.partition) ->
+              ( p.Scenario.part_at,
+                p.Scenario.part_heal,
+                p.Scenario.part_x_frac *. sc.terrain.Geom.Terrain.width ))
+            pa
+        in
+        Some (Net.Link_model.create ?shadowing ?partition ())
+  in
   let channel =
     Net.Channel.create ~engine
       ~max_speed:(Float.max sc.speed_max 0.)
-      ~world:nodes ?link:(make_link sc) ~obs:bus ~params:sc.net ()
+      ~world:nodes ?link ~obs:bus ~params:sc.net ()
   in
   Net.Channel.add_transmit_hook channel (fun _src frame ->
       Metrics.transmitted metrics frame);
@@ -310,8 +295,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
   in
   (* A down node originates nothing: the gate is checked at emission
      time against the churn plan, whose toggles are events at exact
-     virtual times — so the classic and sharded paths agree on exactly
-     which originations are skipped. *)
+     virtual times. *)
   Traffic.setup ~engine ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
     ~until:sc.duration
     ~emit:(fun ~src msg ->
@@ -320,8 +304,7 @@ let build ?on_engine ?obs (sc : Scenario.t) =
         Metrics.data_originated metrics msg;
         agents.(Node_id.to_int src).Routing.Agent.origin_data msg
       end);
-  plan_churn sc
-    ~schedule:(fun _i at fn -> ignore (Engine.at engine at fn))
+  plan_churn sc ~engine
     ~take_down:(fun i ~crash ->
       Net.Nodes.set_up nodes i false;
       Net.Channel.set_attached channel (Net.Mac.radio mac_arr.(i)) false;
@@ -389,10 +372,8 @@ let attach_telemetry sim ?jsonl ?prom ~every ~until () =
     invalid_arg "Runner.attach_telemetry: interval must be positive";
   let c = Obs.Telemetry.create ?jsonl ?prom () in
   let sample () =
-    Obs.Telemetry.record c ~time:(Engine.now sim.engine)
-      ~domains:[| Obs.Telemetry.domain_of_engine sim.engine |]
+    Obs.Telemetry.record c ~time:(Engine.now sim.engine) ~engine:sim.engine
       ~grid:(Net.Channel.index_stats sim.channel)
-      ()
   in
   Engine.every sim.engine ~start:Time.zero ~interval:every ~until sample;
   (* As with the sampler: [every] stops strictly before [until], so a
@@ -412,399 +393,9 @@ let finish sim =
   List.iter (fun f -> f ()) sim.cleanup;
   sim.cleanup <- []
 
-(* ------------------------------------------------------------------ *)
-(* Spatially-sharded conservative PDES (see docs/PARALLELISM.md).      *)
-
-type psim = {
-  p_shards : int;
-  p_engines : Engine.t array;
-  p_agents : Routing.Agent.t array;
-  p_home : int array;
-  p_request_injection : at:Time.t -> (unit -> unit) -> unit;
-}
-
-(* The window width is the cross-shard delivery latency: a frame
-   crossing a region border is heard [difs + slot] later than a local
-   one — the smallest bound under which a transmission started inside a
-   window can still reach the neighbouring shard no earlier than the
-   next window boundary.  See docs/PARALLELISM.md for why zero-latency
-   crossing is impossible with instantaneous carrier sense. *)
-let lookahead_of (net : Net.Params.t) =
-  Time.add net.Net.Params.difs net.Net.Params.slot
-
-let resolve_shards (sc : Scenario.t) =
-  if sc.shards = 0 then Parallel.effective_jobs ~items:sc.num_nodes 0
-  else sc.shards
-
-let run_pdes ?workers ~monitor ?trace_out ?telemetry_out ?telemetry_prom
-    ?telemetry_every ?prepare (sc : Scenario.t) ~shards:k =
-  let n = sc.num_nodes in
-  if n = 0 then invalid_arg "Runner.run: a sharded run needs nodes";
-  let part = Geom.Partition.stripes ~terrain:sc.terrain ~k in
-  let lookahead = lookahead_of sc.net in
-  let engines = Array.init k (fun _ -> Engine.create ~seed:sc.seed ()) in
-  (* The monitor and the loop auditor read other regions' routing
-     tables at event time, not just at quiesced boundaries; that is
-     only race-free (and deterministic) when one worker domain runs
-     every shard, so arming either pins the run to a single worker.
-     Worker count never affects results — shard i always runs on
-     worker [i mod workers] — so this costs wall time only. *)
-  let workers = if monitor || sc.audit_loops then Some 1 else workers in
-  let pdes = Pdes.create ?workers ~lookahead engines in
-  let buses = Array.init k (fun _ -> Obs.Bus.create ()) in
-  let shard_metrics = Array.init k (fun _ -> Metrics.create ~journal:true ()) in
-  let max_speed = Float.max sc.speed_max 0. in
-  (* Exactly the classic path's setup-stream split order, drawn from an
-     identical root (the classic root is the engine's own RNG, which is
-     [Rng.create seed]): placement, mobility, traffic, then per node
-     [i] its waypoint, MAC and agent streams.  Every node therefore
-     sees the same random values whatever K is. *)
-  let root = Rng.create sc.seed in
-  let placement_rng = Rng.split root in
-  let mobility_rng = Rng.split root in
-  let traffic_rng = Rng.split root in
-  let starts = Scenario.positions sc placement_rng in
-  let mobs = make_mobs sc ~mobility_rng ~starts in
-  let nodes = make_nodes sc mobs in
-  let channels =
-    Array.init k (fun r ->
-        Net.Channel.create ~engine:engines.(r) ~max_speed ~world:nodes
-          ?link:(make_link sc) ~obs:buses.(r) ~params:sc.net ())
-  in
-  Array.iteri
-    (fun r ch ->
-      Net.Channel.add_transmit_hook ch (fun _src frame ->
-          Metrics.transmitted shard_metrics.(r) frame))
-    channels;
-  (* A node belongs to the region of its initial position for the whole
-     run; mobility across a border only widens that region's occupancy
-     band. *)
-  let home = Array.map (fun p -> Geom.Partition.region_of part p) starts in
-  let agents : Routing.Agent.t array = Array.make n null_agent in
-  let audit_scratch = Array.make n (-1) in
-  let audit_gen = ref 0 in
-  let factory = Scenario.factory sc.protocol in
-  let macs = ref [] in
-  for i = 0 to n - 1 do
-    let id = Node_id.of_int i in
-    let r = home.(i) in
-    let engine = engines.(r) in
-    let bus = buses.(r) in
-    let metrics = shard_metrics.(r) in
-    let mac =
-      Net.Mac.create ~engine ~channel:channels.(r) ~rng:(Rng.split root) ~id
-        ~world:(nodes, i)
-        {
-          Net.Mac.receive =
-            (fun payload ~from ->
-              agents.(i).Routing.Agent.recv payload ~from);
-          promiscuous =
-            (fun payload ~from ~dst ->
-              agents.(i).Routing.Agent.overheard payload ~from ~dst);
-          link_failure =
-            (fun payload ~next_hop ->
-              if Obs.Bus.on bus then
-                Obs.Bus.link_failure bus ~time:(Engine.now engine) ~node:i
-                  ~next_hop:(Node_id.to_int next_hop);
-              agents.(i).Routing.Agent.link_failure payload ~next_hop);
-        }
-    in
-    macs := mac :: !macs;
-    let ctx =
-      {
-        Routing.Agent.id;
-        engine;
-        rng = Rng.split root;
-        send = (fun ~dst payload -> Net.Mac.send mac ~dst payload);
-        deliver =
-          (fun msg ->
-            let now = Engine.now engine in
-            if Obs.Bus.on bus then
-              Obs.Bus.deliver bus ~time:now ~node:i
-                ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-                ~src:(Node_id.to_int msg.Data_msg.src)
-                ~hops:msg.Data_msg.hops
-                ~latency_ns:
-                  ((Time.diff now msg.Data_msg.origin_time :> int));
-            Metrics.data_delivered metrics ~now msg);
-        drop_data =
-          (fun msg ~reason ->
-            if Obs.Bus.on bus then
-              Obs.Bus.data_drop bus ~time:(Engine.now engine) ~node:i
-                ~reason:(Obs.Bus.intern bus reason)
-                ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-                ~src:(Node_id.to_int msg.Data_msg.src)
-                ~dst:(Node_id.to_int msg.Data_msg.dst);
-            Metrics.data_dropped metrics msg ~reason);
-        event =
-          (fun ?dst name ->
-            if Obs.Bus.on bus then
-              Obs.Bus.proto bus ~time:(Engine.now engine) ~node:i
-                ~name:(Obs.Bus.intern bus name)
-                ~dst:
-                  (match dst with Some d -> Node_id.to_int d | None -> -1);
-            Metrics.protocol_event metrics name);
-        table_changed =
-          (if sc.audit_loops then fun () ->
-             audit_from ~scratch:audit_scratch ~gen:audit_gen agents metrics
-               i n
-           else ignore);
-        obs = bus;
-      }
-    in
-    agents.(i) <- factory ctx
-  done;
-  Array.iter (fun (a : Routing.Agent.t) -> a.start ()) agents;
-  let mac_arr = Array.of_list (List.rev !macs) in
-  (* The classic path draws the workload lazily while the clock runs;
-     [Traffic.plan] makes the identical draws up front (same stream,
-     same order) so each flow can be armed on its source's engine. *)
-  let flows =
-    Traffic.plan ~rng:traffic_rng ~num_nodes:n ~config:sc.traffic
-      ~until:sc.duration
-  in
-  List.iter
-    (fun (f : Traffic.flow) ->
-      let r = home.(Node_id.to_int f.Traffic.f_src) in
-      Traffic.arm ~engine:engines.(r) ~config:sc.traffic
-        ~emit:(fun ~src msg ->
-          if Net.Nodes.up nodes (Node_id.to_int src) then begin
-            (if Obs.Bus.on buses.(r) then
-               Obs.Bus.span buses.(r)
-                 ~time:(Engine.now engines.(r))
-                 ~node:(Node_id.to_int src) ~stage:Obs.Span.Stage.originate
-                 ~flow:msg.Data_msg.flow_id ~seq:msg.Data_msg.seq
-                 ~d:(Node_id.to_int msg.Data_msg.dst)
-                 ~e:msg.Data_msg.payload_bytes ~f:(-1));
-            Metrics.data_originated shard_metrics.(r) msg;
-            agents.(Node_id.to_int src).Routing.Agent.origin_data msg
-          end)
-        f)
-    flows;
-  (* Churn toggles run as ordinary events on the node's home engine:
-     everything they touch (the node's MAC, its radio on the home
-     channel, its agent, its store row, its [down] gate read by traffic
-     armed on the same engine) is owned by that shard. *)
-  plan_churn sc
-    ~schedule:(fun i at fn -> ignore (Engine.at engines.(home.(i)) at fn))
-    ~take_down:(fun i ~crash ->
-      Net.Nodes.set_up nodes i false;
-      Net.Channel.set_attached
-        channels.(home.(i))
-        (Net.Mac.radio mac_arr.(i))
-        false;
-      Net.Mac.set_down mac_arr.(i) true;
-      agents.(i).Routing.Agent.reset ~crash)
-    ~bring_up:(fun i ->
-      Net.Nodes.set_up nodes i true;
-      Net.Channel.set_attached
-        channels.(home.(i))
-        (Net.Mac.radio mac_arr.(i))
-        true;
-      Net.Mac.set_down mac_arr.(i) false);
-  (* Cross-shard routing: a transmission at x is forwarded to every
-     other region whose occupancy band, inflated by the carrier-sense
-     range, contains x.  Bands are refreshed at forced boundaries every
-     [refresh_period] of virtual time and padded by the furthest any
-     node can move in between, so they always over-approximate. *)
-  let cs = sc.net.Net.Params.cs_range_m in
-  let refresh_period = Time.sec 0.5 in
-  let pad = (max_speed *. Time.to_sec refresh_period) +. 1e-6 in
-  let band_lo = Array.make k infinity in
-  let band_hi = Array.make k neg_infinity in
-  let refresh_bands t_now =
-    Array.fill band_lo 0 k infinity;
-    Array.fill band_hi 0 k neg_infinity;
-    for i = 0 to n - 1 do
-      (* Runs at quiesced boundaries only, so touching every store row
-         from the coordinator is race-free; per-row queries stay
-         monotone (every shard's clock is exactly [t_now]). *)
-      let st = Net.Nodes.store nodes in
-      Mobility.Pos_store.refresh st i t_now;
-      let x = Mobility.Pos_store.x st i in
-      let r = home.(i) in
-      if x < band_lo.(r) then band_lo.(r) <- x;
-      if x > band_hi.(r) then band_hi.(r) <- x
-    done;
-    for r = 0 to k - 1 do
-      band_lo.(r) <- band_lo.(r) -. pad;
-      band_hi.(r) <- band_hi.(r) +. pad
-    done
-  in
-  (* The ACK for a cross-border unicast pays the crossing latency twice
-     (data out, ACK back), which the stock ack timeout does not cover. *)
-  let grace = Time.mul lookahead 2 in
-  Array.iteri
-    (fun q ch ->
-      Net.Channel.set_remote ch ~grace (fun frame ~src ~duration ->
-          let pos = Net.Channel.radio_pos ch src in
-          let x = pos.Geom.Vec2.x in
-          let arrival = Time.add (Engine.now engines.(q)) lookahead in
-          let src_id = Net.Channel.radio_id src in
-          let posted = ref false in
-          for r = 0 to k - 1 do
-            if r <> q && x >= band_lo.(r) -. cs && x <= band_hi.(r) +. cs
-            then begin
-              posted := true;
-              Pdes.post pdes ~src:q ~dst:r arrival (fun () ->
-                  Net.Channel.transmit_from channels.(r) ~src_id ~pos frame
-                    ~duration)
-            end
-          done;
-          !posted))
-    channels;
-  let drain = Time.sec 2. in
-  let until = Time.add sc.duration drain in
-  let injections = ref [] in
-  let request_injection ~at fn =
-    Pdes.request_boundary pdes at;
-    injections := (at, fn) :: !injections
-  in
-  (* Telemetry samples ride the existing window-boundary callback (all
-     shards quiesced), so enabling it never alters the window schedule
-     or any shard's event stream.  Boundaries land every [lookahead]
-     (~70 us), far denser than any sensible cadence. *)
-  let telemetry =
-    match (telemetry_out, telemetry_prom) with
-    | None, None -> None
-    | jsonl, prom ->
-        let every =
-          match telemetry_every with Some e -> e | None -> Time.sec 1.
-        in
-        if Time.(every <= Time.zero) then
-          invalid_arg "Runner.run: telemetry interval must be positive";
-        Some (Obs.Telemetry.create ?jsonl ?prom (), every, ref every)
-  in
-  let next_refresh = ref refresh_period in
-  Pdes.set_on_boundary pdes (fun tb ->
-      if max_speed > 0. && tb >= !next_refresh then begin
-        refresh_bands tb;
-        next_refresh := Time.add tb refresh_period;
-        if !next_refresh <= until then
-          Pdes.request_boundary pdes !next_refresh
-      end;
-      (match telemetry with
-      | Some (c, every, next) when tb >= !next && tb < until ->
-          let s = Pdes.stats pdes in
-          Obs.Telemetry.record c ~time:tb
-            ~domains:(Array.map Obs.Telemetry.domain_of_engine engines)
-            ~pdes:
-              {
-                Obs.Telemetry.pg_windows = s.Pdes.windows;
-                pg_utilization = Pdes.window_utilization pdes;
-                pg_mirrors = s.Pdes.messages;
-                pg_worker_minor = Pdes.live_worker_minor_words pdes;
-              }
-            ();
-          while !next <= tb do
-            next := Time.add !next every
-          done
-      | _ -> ());
-      match !injections with
-      | [] -> ()
-      | pending ->
-          let due, rest = List.partition (fun (at, _) -> at <= tb) pending in
-          injections := rest;
-          List.iter (fun (_, fn) -> fn ()) (List.rev due));
-  refresh_bands Time.zero;
-  if max_speed > 0. then Pdes.request_boundary pdes refresh_period;
-  (* One JSONL stream per region, merged by time after the run; as on
-     the classic path, trace sinks attach before the monitors so a
-     violation's ring dump and the trace agree on event order. *)
-  let shard_trace r path = Printf.sprintf "%s.shard%d" path r in
-  let trace_ocs =
-    match trace_out with
-    | None -> [||]
-    | Some path ->
-        Array.mapi
-          (fun r bus ->
-            let oc = open_out (shard_trace r path) in
-            Obs.Bus.add_sink bus (Obs.Jsonl.sink bus oc);
-            oc)
-          buses
-  in
-  let monitors =
-    if monitor then
-      Array.to_list
-        (Array.map
-           (fun bus ->
-             Obs.Monitor.create
-               ~lookup:(fun ~node ~dst ->
-                 agents.(node).Routing.Agent.invariants (Node_id.of_int dst))
-               bus)
-           buses)
-    else []
-  in
-  let psim =
-    {
-      p_shards = k;
-      p_engines = engines;
-      p_agents = agents;
-      p_home = home;
-      p_request_injection = request_injection;
-    }
-  in
-  (* As on the classic path, the sink files are closed even when
-     [prepare] or an event raises; the shard traces are then left
-     unmerged. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter close_out trace_ocs;
-      Option.iter (fun (c, _, _) -> Obs.Telemetry.close c) telemetry)
-    (fun () ->
-      (match prepare with Some f -> f psim | None -> ());
-      Pdes.run pdes ~until;
-      match telemetry with
-      | None -> ()
-      | Some (c, _, _) ->
-          (* Horizon sample (every shard has quiesced at [until]),
-             matching the classic path's final one-shot. *)
-          let s = Pdes.stats pdes in
-          Obs.Telemetry.record c ~time:until
-            ~domains:(Array.map Obs.Telemetry.domain_of_engine engines)
-            ~pdes:
-              {
-                Obs.Telemetry.pg_windows = s.Pdes.windows;
-                pg_utilization = Pdes.window_utilization pdes;
-                pg_mirrors = s.Pdes.messages;
-                pg_worker_minor = Pdes.live_worker_minor_words pdes;
-              }
-            ());
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      let inputs = List.init k (fun r -> shard_trace r path) in
-      Obs.Jsonl.merge_time_sorted ~inputs ~output:path;
-      List.iter Sys.remove inputs);
-  let merged = Metrics.merge_all (Array.to_list shard_metrics) in
-  let total = ref 0. in
-  Array.iter
-    (fun (a : Routing.Agent.t) -> total := !total +. a.own_seqno ())
-    agents;
-  Metrics.set_mean_dest_seqno merged (!total /. float_of_int n);
-  let sum f = Array.fold_left (fun acc m -> acc + f m) 0 mac_arr in
-  let stats = Pdes.stats pdes in
-  {
-    metrics = merged;
-    summary = Metrics.summary merged;
-    events_processed =
-      Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 engines;
-    mac_queue_drops = sum Net.Mac.queue_drops;
-    mac_unicast_failures = sum Net.Mac.unicast_failures;
-    transmissions =
-      Array.fold_left
-        (fun acc ch -> acc + Net.Channel.transmissions ch)
-        0 channels;
-    invariant_violations =
-      List.fold_left (fun acc m -> acc + Obs.Monitor.violations m) 0 monitors;
-    pdes_windows = stats.Pdes.windows;
-    pdes_messages = stats.Pdes.messages;
-    pdes_worker_minor_words = Pdes.worker_minor_words pdes;
-  }
-
-let run_classic ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample
-    ?sample_out ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare
-    (sc : Scenario.t) =
+let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample ?sample_out
+    ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare (sc : Scenario.t)
+    =
   let sim = build ?on_engine ?obs sc in
   (* Let in-flight packets (and their latency) resolve briefly after the
      last origination. *)
@@ -848,39 +439,4 @@ let run_classic ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample
     transmissions = Net.Channel.transmissions sim.channel;
     invariant_violations =
       (match sim.monitor with Some m -> Obs.Monitor.violations m | None -> 0);
-    pdes_windows = 0;
-    pdes_messages = 0;
-    pdes_worker_minor_words = [||];
   }
-
-let run ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample ?sample_out
-    ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare ?prepare_pdes
-    ?pdes_workers (sc : Scenario.t) =
-  let shards = resolve_shards sc in
-  if shards >= 2 then begin
-    let reject what o =
-      match o with
-      | Some _ ->
-          invalid_arg
-            ("Runner.run: " ^ what ^ " is not supported with shards >= 2")
-      | None -> ()
-    in
-    reject "on_engine" on_engine;
-    reject "obs" obs;
-    reject "pcap_out" pcap_out;
-    reject "sample" sample;
-    reject "prepare (use prepare_pdes)" prepare;
-    run_pdes ?workers:pdes_workers ~monitor:(monitor = Some true) ?trace_out
-      ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare:prepare_pdes
-      sc ~shards
-  end
-  else begin
-    (match prepare_pdes with
-    | Some _ ->
-        invalid_arg
-          "Runner.run: prepare_pdes requires shards >= 2 (use prepare)"
-    | None -> ());
-    run_classic ?on_engine ?obs ?monitor ?trace_out ?pcap_out ?sample
-      ?sample_out ?telemetry_out ?telemetry_prom ?telemetry_every ?prepare
-      sc
-  end

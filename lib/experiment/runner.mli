@@ -13,13 +13,6 @@ type outcome = {
   transmissions : int;  (** every frame on the air, ACKs included *)
   invariant_violations : int;
       (** monitor verdict; 0 when no monitor was attached *)
-  pdes_windows : int;
-      (** synchronous windows executed; 0 on a classic (unsharded) run *)
-  pdes_messages : int;
-      (** cross-shard transmissions delivered; 0 on a classic run *)
-  pdes_worker_minor_words : float array;
-      (** per-worker-domain minor allocation ({!Sim.Pdes.worker_minor_words});
-          empty on a classic run or when the run executed inline *)
 }
 
 (** A handle over a built-but-not-yet-run simulation, for tests and
@@ -39,30 +32,6 @@ type sim = {
       (** file closers etc., run by {!finish} *)
 }
 
-(** A handle over a built-but-not-yet-run {e sharded} simulation
-    ([shards >= 2]), passed to [run]'s [prepare_pdes] hook. *)
-type psim = {
-  p_shards : int;  (** number of regions K *)
-  p_engines : Sim.Engine.t array;  (** one engine per region *)
-  p_agents : Routing.Agent.t array;  (** global, indexed by node id *)
-  p_home : int array;  (** node id -> region of its initial position *)
-  p_request_injection : at:Sim.Time.t -> (unit -> unit) -> unit;
-      (** run [fn] at the first window boundary at or after [at], with
-          every shard quiesced — the sharded analogue of scheduling a
-          fault-injection event.  [fn] may inspect global state and
-          schedule events at times [>= at] on any [p_engines].(r). *)
-}
-
-val resolve_shards : Scenario.t -> int
-(** The region count a scenario will actually run with:
-    [sc.shards], with [0] resolved to the recommended domain count
-    capped at the node count ({!Parallel.effective_jobs}). *)
-
-val lookahead_of : Net.Params.t -> Sim.Time.t
-(** The PDES window width and cross-shard delivery latency,
-    [difs + slot] (70 us for the default parameters).  See
-    docs/PARALLELISM.md for the derivation. *)
-
 val run :
   ?on_engine:(Sim.Engine.t -> unit) ->
   ?obs:Obs.Bus.t ->
@@ -75,27 +44,9 @@ val run :
   ?telemetry_prom:string ->
   ?telemetry_every:Sim.Time.t ->
   ?prepare:(sim -> unit) ->
-  ?prepare_pdes:(psim -> unit) ->
-  ?pdes_workers:int ->
   Scenario.t ->
   outcome
 (** Build, optionally instrument, run to completion and summarise.
-
-    When {!resolve_shards} is [>= 2] the run is dispatched to the
-    spatially-sharded PDES engine ({!Sim.Pdes}; docs/PARALLELISM.md):
-    K vertical regions, each with its own engine, channel, bus and
-    metrics, advanced in synchronous {!lookahead_of}-wide windows.
-    [monitor] and the scenario's [audit_loops] work under sharding
-    (they pin execution to one worker domain); [prepare_pdes] is the
-    sharded analogue of [prepare]; [pdes_workers] caps the worker
-    domains (default: recommended domain count, capped at K).
-    [on_engine], [obs], [pcap_out], [sample] and [prepare] raise
-    [Invalid_argument] under sharding, as does [prepare_pdes] on a
-    classic run.  [trace_out] works under sharding: each region
-    streams to [<path>.shard<r>] and the files are k-way merged by
-    virtual time (ties keep shard order) into [path] when the run
-    ends — on a border-free scenario the result is byte-identical to
-    the classic trace.
 
     [obs]: supply the observability bus (default: a fresh one —
     disabled unless something below attaches a sink).
@@ -109,21 +60,17 @@ val run :
     [telemetry_out] / [telemetry_prom]: runtime telemetry
     ({!Obs.Telemetry}) as JSONL samples and/or an atomically-replaced
     Prometheus text snapshot, every [telemetry_every] of virtual time
-    (default 1 s) plus once at the horizon.  Works on both paths:
-    classic runs sample from an engine cadence, sharded runs from the
-    quiesced window-boundary callback — neither perturbs the
-    simulation.
+    (default 1 s) plus once at the horizon, sampled from an engine
+    cadence that does not perturb the simulation.
     [prepare]: runs on the built simulation just before the engine
     starts — the hook for fault injection ({!Fault}) and custom sinks.
 
     Trace, pcap, telemetry and sample files are flushed and closed
     before returning, and also when the run raises (the exception is
     then re-raised): a failed run's trace reads back up to the
-    failure.  A sharded run that raises leaves its
-    [<path>.shard<r>] files closed but unmerged.
-    The JSONL sink is attached {e before} the monitor, so a violation
-    line in the trace always follows the table write that caused
-    it. *)
+    failure.  The JSONL sink is attached {e before} the monitor, so a
+    violation line in the trace always follows the table write that
+    caused it. *)
 
 val build : ?on_engine:(Sim.Engine.t -> unit) -> ?obs:Obs.Bus.t ->
   Scenario.t -> sim

@@ -90,9 +90,6 @@ type t = {
   net : Net.Params.t;
   seed : int;
   audit_loops : bool;
-  shards : int;
-      (* <= 1: classic single-engine run; K >= 2: spatially-sharded
-         PDES across K regions; 0: auto (recommended domains, capped) *)
   mobility : mobility;
   shadowing : shadowing option;
   churn : churn option;
@@ -114,7 +111,6 @@ let paper_50 protocol =
     net = Net.Params.default;
     seed = 1;
     audit_loops = false;
-    shards = 1;
     mobility = Waypoint;
     shadowing = None;
     churn = None;
@@ -155,7 +151,6 @@ let with_flows n t = { t with traffic = { t.traffic with Traffic.num_flows = n }
 let with_pause pause t = { t with pause }
 let with_duration duration t = { t with duration }
 let with_seed seed t = { t with seed }
-let with_shards shards t = { t with shards }
 let with_mobility mobility t = { t with mobility }
 let with_shadowing shadowing t = { t with shadowing }
 let with_churn churn t = { t with churn }

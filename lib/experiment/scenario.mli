@@ -101,14 +101,6 @@ type t = {
   audit_loops : bool;
       (** audit the successor graph for loops at every routing-table
           change (expensive; tests and the loop-check example use it) *)
-  shards : int;
-      (** [<= 1] (default 1): classic single-engine run.  [K >= 2]:
-          spatially-sharded conservative PDES — the arena splits into K
-          vertical regions, each with its own engine, channel and
-          metrics, advanced in synchronous lookahead windows
-          ({!Sim.Pdes}; see docs/PARALLELISM.md for the determinism
-          contract).  [0]: auto — recommended domain count capped at
-          the node count. *)
   mobility : mobility;  (** movement family (default [Waypoint]) *)
   shadowing : shadowing option;
   churn : churn option;
@@ -128,7 +120,6 @@ val with_flows : int -> t -> t
 val with_pause : Sim.Time.t -> t -> t
 val with_duration : Sim.Time.t -> t -> t
 val with_seed : int -> t -> t
-val with_shards : int -> t -> t
 val with_mobility : mobility -> t -> t
 val with_shadowing : shadowing option -> t -> t
 val with_churn : churn option -> t -> t

@@ -52,7 +52,8 @@ and t = {
 
 (* An RPGM group's virtual reference point: a random-waypoint process
    whose legs are memoized in index order, so members at different leg
-   indices (PDES shards refresh nodes at different times) can each fetch
+   indices (each member's row is refreshed lazily, on its own schedule)
+   can each fetch
    leg [k] without querying a shared process non-monotonically. *)
 and group = {
   g_terrain : Geom.Terrain.t;
@@ -230,12 +231,11 @@ let advance t =
   t.leg <- next;
   t.leg_ix <- t.leg_ix + 1
 
-(* Re-query tolerance: PDES border mirroring and churn rejoin can ask for
-   a position slightly behind the newest query (at most one conservative
-   lookahead window).  Same-leg re-queries are answered exactly; queries
-   up to [max_backtrack] before the current leg's departure clamp to the
-   leg's start point (error bounded by speed x backtrack).  1 ms is far
-   above any MAC lookahead (difs + slot ~ 70 us). *)
+(* Re-query tolerance: churn rejoin can ask for a position slightly
+   behind the newest query.  Same-leg re-queries are answered exactly;
+   queries up to [max_backtrack] before the current leg's departure
+   clamp to the leg's start point (error bounded by speed x
+   backtrack). *)
 let max_backtrack = Time.ms 1.
 
 let position t time =
@@ -458,8 +458,4 @@ module Pos_store = struct
 
   let x s i = s.x.(i)
   let y s i = s.y.(i)
-
-  let position s i time =
-    refresh s i time;
-    Geom.Vec2.v s.x.(i) s.y.(i)
 end

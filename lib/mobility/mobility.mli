@@ -5,15 +5,12 @@
     pattern of a discrete-event simulation — which lets every model run in
     O(1) amortised time per query.
 
-    {b Re-query tolerance.}  Strict monotonicity is relaxed for the two
-    callers that legitimately look slightly backwards: PDES border
-    mirroring (a mirrored frame is propagated at the window edge while the
-    peer region has already advanced up to one lookahead) and churn rejoin
-    (a node re-attaching re-reads its position at the attach boundary).
+    {b Re-query tolerance.}  Strict monotonicity is relaxed for the one
+    caller that legitimately looks slightly backwards: churn rejoin (a
+    node re-attaching re-reads its position at the attach boundary).
     Concretely, [position] accepts any query time [t] with
     [t + max_backtrack >= depart] of the {e current} leg, where
-    [max_backtrack] is 1 ms — far above any conservative MAC lookahead
-    (difs + slot, ~70 us).  Same-leg re-queries ([t >= depart]) are
+    [max_backtrack] is 1 ms.  Same-leg re-queries ([t >= depart]) are
     answered exactly; queries in the [max_backtrack] slack before the leg
     clamp to the leg's start point, an error bounded by
     [speed x max_backtrack] (millimetres at vehicular speeds).  Queries
@@ -93,7 +90,7 @@ val scripted : (Sim.Time.t * Geom.Vec2.t) list -> t
 type group
 (** The virtual reference point of an RPGM group: a random-waypoint
     process whose legs are memoized so members can follow it at different
-    leg indices (PDES shards refresh nodes at different times) without
+    leg indices (each member's row is refreshed lazily) without
     non-monotone queries on shared state. *)
 
 val rpgm_group :
@@ -137,9 +134,6 @@ module Pos_store : sig
   (** Cached x as of the last {!refresh}. *)
 
   val y : t -> int -> float
-
-  val position : t -> int -> Sim.Time.t -> Geom.Vec2.t
-  (** [refresh] then box the result — for callers that want a [Vec2]. *)
 
   val proc : t -> int -> process
   (** The underlying mobility process of node [i]. *)

@@ -22,7 +22,7 @@ type rx = {
 and radio = {
   id : Node_id.t;
   seq : int;  (** attach order; candidates are ordered newest first *)
-  idx : int;  (** slot in the world's position store; -1 for a phantom *)
+  idx : int;  (** slot in the world's position store *)
   mutable attached : bool;
       (** false while the node is down (churn): the radio is skipped as
           a reception candidate and dropped from the spatial index *)
@@ -31,10 +31,6 @@ and radio = {
   mutable busy_count : int;  (** in-range transmissions currently in the air *)
   mutable tx_count : int;  (** own transmissions in the air (0 or 1) *)
   mutable current_rx : rx;  (** == [no_rx] when not locked to a frame *)
-  mutable crossed : bool;
-      (** last transmission was forwarded cross-shard (PDES): its remote
-          copies arrive one delivery latency late, so unicast senders
-          must extend their ACK wait by the round-trip grace *)
 }
 
 let dummy_frame =
@@ -64,7 +60,6 @@ and dummy_radio =
     busy_count = 0;
     tx_count = 0;
     current_rx = no_rx;
-    crossed = false;
   }
 
 let new_rx () =
@@ -121,12 +116,6 @@ and t = {
   mutable job_pool : tx_job array;
   mutable job_free : int;  (* jobs [0, job_free) are free *)
   obs : Obs.Bus.t;
-  (* PDES hook: decides whether a transmission concerns other shards and
-     posts remote copies; returns true when it did (see [radio.crossed]).
-     [remote_grace] is the extra unicast ACK wait a crossed transmission
-     needs (two crossings: data out, ACK back). *)
-  mutable remote : (Frame.t -> src:radio -> duration:Time.t -> bool) option;
-  mutable remote_grace : Time.t;
 }
 
 let create ~engine ?max_speed ?obs ~world ?link ~params () =
@@ -156,16 +145,7 @@ let create ~engine ?max_speed ?obs ~world ?link ~params () =
     job_pool = [||];
     job_free = 0;
     obs = (match obs with Some b -> b | None -> Obs.Bus.create ());
-    remote = None;
-    remote_grace = Time.zero;
   }
-
-let set_remote t ~grace fn =
-  t.remote <- Some fn;
-  t.remote_grace <- grace
-
-let remote_grace t = t.remote_grace
-let crossed r = r.crossed
 
 let params t = t.params
 let obs t = t.obs
@@ -187,7 +167,6 @@ let attach t ~idx ~id =
       busy_count = 0;
       tx_count = 0;
       current_rx = no_rx;
-      crossed = false;
     }
   in
   t.next_seq <- t.next_seq + 1;
@@ -198,9 +177,6 @@ let attach t ~idx ~id =
 let set_receiver r f = r.receive <- f
 let set_medium_listener r f = r.medium <- f
 let radio_id r = r.id
-
-let radio_pos t r =
-  Mobility.Pos_store.position t.store r.idx (Engine.now t.engine)
 
 let transmitting r = r.tx_count > 0
 
@@ -409,13 +385,21 @@ let end_of_tx job =
   job.job_src <- dummy_radio;
   free_job t job
 
-(* Shared propagation body: collect the touched radios around the
-   source position (scalars — no Vec2 box on this path), resolve
-   capture, and arm the end-of-transmission event.  [transmit] runs it
-   for a local transmission; [transmit_from] for the remote copy of a
-   cross-shard one (a phantom source radio standing in for a node homed
-   on another shard). *)
-let propagate t src ~sx ~sy frame ~duration =
+(* Count and announce the transmission, collect the touched radios
+   around the source position (scalars — no Vec2 box on this path),
+   resolve capture, and arm the end-of-transmission event. *)
+let transmit t src frame ~duration =
+  t.tx_total <- t.tx_total + 1;
+  List.iter (fun hook -> hook src.id frame) t.hooks;
+  if Obs.Bus.on t.obs then
+    Obs.Bus.tx t.obs
+      ~time:(Engine.now t.engine)
+      ~node:(Node_id.to_int src.id)
+      ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
+      ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
+  Mobility.Pos_store.refresh t.store src.idx (Engine.now t.engine);
+  let sx = Mobility.Pos_store.x t.store src.idx
+  and sy = Mobility.Pos_store.y t.store src.idx in
   (* Touched radios are fixed at transmission start: node movement within
      one frame airtime (~2 ms) is a fraction of a millimetre.  Radios out
      to the carrier-sense range defer and suffer interference; only those
@@ -502,44 +486,3 @@ let propagate t src ~sx ~sy frame ~duration =
     end
   done;
   ignore (Engine.after_fn t.engine duration end_of_tx job)
-
-let transmit t src frame ~duration =
-  t.tx_total <- t.tx_total + 1;
-  List.iter (fun hook -> hook src.id frame) t.hooks;
-  if Obs.Bus.on t.obs then
-    Obs.Bus.tx t.obs
-      ~time:(Engine.now t.engine)
-      ~node:(Node_id.to_int src.id)
-      ~cls:(Obs.Bus.intern t.obs (Frame.class_name frame))
-      ~dst:(frame_dst_int frame) ~bytes:(Frame.encoded_length frame);
-  src.crossed <-
-    (match t.remote with None -> false | Some fn -> fn frame ~src ~duration);
-  (* Refresh the store row in place and read the scalar planes — no
-     Vec2 box per transmission. *)
-  Mobility.Pos_store.refresh t.store src.idx (Engine.now t.engine);
-  propagate t src
-    ~sx:(Mobility.Pos_store.x t.store src.idx)
-    ~sy:(Mobility.Pos_store.y t.store src.idx)
-    frame ~duration
-
-(* Remote copy of a transmission whose source is homed on another shard.
-   The phantom radio carries the source's id and position snapshot; it
-   is not attached, so it never appears as a reception candidate, and
-   nothing global is counted again here — the home shard already paid
-   [tx_total], the transmit hooks and the obs Tx event. *)
-let transmit_from t ~src_id ~pos frame ~duration =
-  let phantom =
-    {
-      id = src_id;
-      seq = -2;
-      idx = -1;
-      attached = true;
-      receive = ignore;
-      medium = ignore;
-      busy_count = 0;
-      tx_count = 0;
-      current_rx = no_rx;
-      crossed = false;
-    }
-  in
-  propagate t phantom ~sx:pos.Geom.Vec2.x ~sy:pos.Geom.Vec2.y frame ~duration

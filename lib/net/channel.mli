@@ -69,37 +69,6 @@ val transmit : t -> radio -> Frame.t -> duration:Sim.Time.t -> unit
 (** Start a transmission now.  The caller (MAC) is responsible for medium
     access; the channel just propagates. *)
 
-val set_remote :
-  t -> grace:Sim.Time.t -> (Frame.t -> src:radio -> duration:Sim.Time.t -> bool)
-  -> unit
-(** PDES routing hook, called at the start of every local transmission.
-    The callback posts remote copies to whichever other shards the
-    transmission may concern and returns whether it posted any; the
-    result is latched on the source radio ({!crossed}) so the MAC can
-    extend that frame's unicast ACK wait by [grace] (the cross-shard
-    delivery latency is paid twice: data out, ACK back). *)
-
-val remote_grace : t -> Sim.Time.t
-(** The [grace] registered with {!set_remote}; [Time.zero] when no
-    remote hook is installed (every non-PDES run). *)
-
-val crossed : radio -> bool
-(** Whether this radio's most recent transmission was forwarded
-    cross-shard by the remote hook. *)
-
-val radio_pos : t -> radio -> Geom.Vec2.t
-(** The radio's current position, read from the world's store. *)
-
-val transmit_from :
-  t -> src_id:Node_id.t -> pos:Geom.Vec2.t -> Frame.t -> duration:Sim.Time.t
-  -> unit
-(** Deliver the remote copy of a transmission whose source radio lives
-    on another shard: propagates [frame] from the snapshot position
-    [pos] to this channel's radios with normal carrier-sense, capture
-    and collision handling.  Does not count in {!transmissions}, does
-    not run transmit hooks and emits no Tx event — the source's home
-    shard already accounted for the transmission. *)
-
 val busy : t -> radio -> bool
 (** Carrier sense, including the radio's own transmission. *)
 

@@ -3,7 +3,7 @@
 
    Shadowing draws one gain per unordered node pair from a seeded hash —
    no run-order dependence, so the same pair sees the same gain in every
-   index mode, every shard layout and every replay.  The draw is a
+   replay and whatever order transmissions happen in.  The draw is a
    Box-Muller normal in dB clamped to +-3 sigma; dividing by the path
    loss exponent converts the dB offset into a range factor, so a pair's
    effective disk radius is [range * gain].  [f_max] bounds the factor,
@@ -12,9 +12,8 @@
 
    The partition wall is a stateless predicate — a vertical barrier at
    [x] absorbing everything that would cross it inside [at, heal).
-   Evaluating it per transmission (rather than mutating topology) keeps
-   it exact under PDES, where the same transmission is re-propagated on
-   several shards. *)
+   Evaluating it per transmission (rather than mutating topology) means
+   nothing changes at the partition instant itself. *)
 
 open Sim
 

@@ -144,67 +144,3 @@ let parse_line s : (string * value) list option =
     members ();
     Some (List.rev !fields)
   with Malformed | Failure _ -> None
-
-(* ---- Shard-trace merge ------------------------------------------------- *)
-
-let time_of_line s =
-  match parse_line s with
-  | Some fields -> (
-      match List.assoc_opt "t" fields with Some (Int t) -> t | _ -> min_int)
-  | None -> min_int
-
-(* Open every input, or none: a failing [open_in] closes the ones
-   already opened before it re-raises. *)
-let open_all paths =
-  let opened = ref [] in
-  match List.iter (fun p -> opened := open_in p :: !opened) paths with
-  | () -> Array.of_list (List.rev !opened)
-  | exception e ->
-      List.iter close_in_noerr !opened;
-      raise e
-
-let merge_time_sorted ~inputs ~output =
-  let ics = open_all inputs in
-  let k = Array.length ics in
-  (* One-line lookahead per input; each shard's file is already sorted
-     by virtual time, so a k-way minimum scan suffices. *)
-  let head = Array.make k None in
-  let refill i =
-    head.(i) <-
-      (match input_line ics.(i) with
-      | line -> Some (time_of_line line, line)
-      | exception End_of_file -> None)
-  in
-  Fun.protect
-    ~finally:(fun () -> Array.iter close_in_noerr ics)
-    (fun () ->
-      for i = 0 to k - 1 do
-        refill i
-      done;
-      let oc = open_out output in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          let continue = ref true in
-          while !continue do
-            (* Strict [<] so equal-time lines keep input (shard) order:
-               the merge is stable, hence deterministic. *)
-            let best = ref (-1) in
-            let best_t = ref max_int in
-            for i = k - 1 downto 0 do
-              match head.(i) with
-              | Some (t, _) when t <= !best_t ->
-                  best := i;
-                  best_t := t
-              | _ -> ()
-            done;
-            match !best with
-            | -1 -> continue := false
-            | i ->
-                (match head.(i) with
-                | Some (_, line) ->
-                    output_string oc line;
-                    output_char oc '\n'
-                | None -> assert false);
-                refill i
-          done))

@@ -3,8 +3,7 @@
 
     A data packet's trace id is its [(flow, seq)] pair — already
     carried end-to-end by [Packets.Data_msg] and preserved across
-    forwarding and PDES border mirroring, so the wire stays byte-true
-    and cross-shard continuity is automatic.  Instrumented layers emit
+    forwarding, so the wire stays byte-true.  Instrumented layers emit
     {!Event.Span} records ({!Bus.span}) at each lifecycle stage;
     {!reconstruct} stitches them (plus the existing [Deliver] /
     [Data_drop] events) back into per-packet paths with per-hop MAC

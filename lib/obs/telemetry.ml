@@ -1,36 +1,15 @@
 (* Runtime telemetry collector.  Gathering is the caller's job (the
-   runner knows its engines and PDES coordinator); this module owns
-   the two output formats and the rate bookkeeping. *)
-
-type domain = {
-  dom_pending : int;
-  dom_fired : int;
-  dom_cal_buckets : int;
-  dom_cal_occupancy : float;
-}
-
-let domain_of_engine e =
-  let s = Sim.Engine.stats e in
-  {
-    dom_pending = s.Sim.Engine.pending;
-    dom_fired = s.Sim.Engine.fired;
-    dom_cal_buckets = Sim.Engine.calendar_buckets e;
-    dom_cal_occupancy = Sim.Engine.calendar_occupancy e;
-  }
-
-type pdes_gauges = {
-  pg_windows : int;
-  pg_utilization : float;
-  pg_mirrors : int;
-  pg_worker_minor : float array;
-}
+   runner knows its engine and spatial index); this module owns the two
+   output formats and the rate bookkeeping.  Both formats keep the
+   per-domain shape (JSON arrays, a [domain] label) with the run's one
+   engine as domain 0. *)
 
 type t = {
   jsonl : out_channel option;
   prom : string option;
   started : float; (* wall clock at create *)
   mutable prev_wall : float;
-  mutable prev_fired : int array; (* per domain, from the last sample *)
+  mutable prev_fired : int; (* from the last sample *)
 }
 
 let create ?jsonl ?prom () =
@@ -39,122 +18,74 @@ let create ?jsonl ?prom () =
     prom;
     started = Unix.gettimeofday ();
     prev_wall = Unix.gettimeofday ();
-    prev_fired = [||];
+    prev_fired = 0;
   }
 
-(* Sum of GC minor words across the coordinator domain and any live
-   PDES worker domains.  [Gc.minor_words] is per-domain in OCaml 5, so
-   the workers' gauges (refreshed each window) must be added in. *)
-let gc_words pdes =
-  let q = Gc.quick_stat () in
-  let minor = ref q.Gc.minor_words in
-  (match pdes with
-  | Some p -> Array.iter (fun w -> minor := !minor +. w) p.pg_worker_minor
-  | None -> ());
-  (!minor, q.Gc.promoted_words)
+(* The engine's gauges at one sample. *)
+type sample = {
+  pending : int;
+  fired : int;
+  cal_buckets : int;
+  cal_occupancy : float;
+}
+
+let sample_of_engine e =
+  let s = Sim.Engine.stats e in
+  {
+    pending = s.Sim.Engine.pending;
+    fired = s.Sim.Engine.fired;
+    cal_buckets = Sim.Engine.calendar_buckets e;
+    cal_occupancy = Sim.Engine.calendar_occupancy e;
+  }
 
 let rate dt prev cur = if dt <= 0. then 0. else float_of_int (cur - prev) /. dt
 
-let write_jsonl t oc ~time ~(domains : domain array) ~pdes ~grid ~wall ~dt =
+let write_jsonl t oc ~time ~d ~grid:(cells, occupied, max_occ) ~wall ~dt =
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
   Printf.bprintf buf "\"t\":%d,\"wall_s\":%.6f" (time : Sim.Time.t :> int)
     (wall -. t.started);
-  let total_fired = Array.fold_left (fun a d -> a + d.dom_fired) 0 domains in
-  let prev_total = Array.fold_left ( + ) 0 t.prev_fired in
-  Printf.bprintf buf ",\"events\":%d,\"events_per_s\":%.1f" total_fired
-    (rate dt prev_total total_fired);
-  let arr name f =
-    Printf.bprintf buf ",\"%s\":[" name;
-    Array.iteri
-      (fun i d ->
-        if i > 0 then Buffer.add_char buf ',';
-        f d)
-      domains;
-    Buffer.add_char buf ']'
-  in
-  arr "pending" (fun d -> Printf.bprintf buf "%d" d.dom_pending);
-  arr "fired" (fun d -> Printf.bprintf buf "%d" d.dom_fired);
-  arr "cal_buckets" (fun d -> Printf.bprintf buf "%d" d.dom_cal_buckets);
-  arr "cal_occupancy" (fun d -> Printf.bprintf buf "%.3f" d.dom_cal_occupancy);
-  (match pdes with
-  | Some p ->
-      Printf.bprintf buf
-        ",\"pdes_windows\":%d,\"pdes_utilization\":%.4f,\"pdes_mirrors\":%d"
-        p.pg_windows p.pg_utilization p.pg_mirrors
-  | None -> ());
-  (match grid with
-  | Some (cells, occupied, max_occ) ->
-      Printf.bprintf buf
-        ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
-        cells occupied max_occ
-  | None -> ());
-  let minor, promoted = gc_words pdes in
+  Printf.bprintf buf ",\"events\":%d,\"events_per_s\":%.1f" d.fired
+    (rate dt t.prev_fired d.fired);
+  Printf.bprintf buf
+    ",\"pending\":[%d],\"fired\":[%d],\"cal_buckets\":[%d],\"cal_occupancy\":[%.3f]"
+    d.pending d.fired d.cal_buckets d.cal_occupancy;
+  Printf.bprintf buf
+    ",\"grid_cells\":%d,\"grid_occupied\":%d,\"grid_max_occupancy\":%d"
+    cells occupied max_occ;
+  let q = Gc.quick_stat () in
   Printf.bprintf buf ",\"gc_minor_words\":%.0f,\"gc_promoted_words\":%.0f"
-    minor promoted;
+    q.Gc.minor_words q.Gc.promoted_words;
   Buffer.add_char buf '}';
   Buffer.add_char buf '\n';
   Buffer.output_buffer oc buf;
   flush oc
 
-let write_prom t path ~time ~(domains : domain array) ~pdes ~grid ~dt =
+let write_prom t path ~time ~d ~grid:(cells, occupied, max_occ) ~dt =
   let buf = Buffer.create 1024 in
-  let gauge name v =
-    Printf.bprintf buf "# TYPE %s gauge\n%s %s\n" name name v
+  let metric kind name v =
+    Printf.bprintf buf "# TYPE %s %s\n%s %s\n" name kind name v
   in
-  let counter_dom name f =
-    Printf.bprintf buf "# TYPE %s counter\n" name;
-    Array.iteri
-      (fun i d -> Printf.bprintf buf "%s{domain=\"%d\"} %s\n" name i (f d))
-      domains
+  let per_domain kind name v =
+    Printf.bprintf buf "# TYPE %s %s\n%s{domain=\"0\"} %s\n" name kind name v
   in
-  let gauge_dom name f =
-    Printf.bprintf buf "# TYPE %s gauge\n" name;
-    Array.iteri
-      (fun i d -> Printf.bprintf buf "%s{domain=\"%d\"} %s\n" name i (f d))
-      domains
-  in
-  gauge "manet_sim_time_seconds"
+  metric "gauge" "manet_sim_time_seconds"
     (Printf.sprintf "%.9f" (Sim.Time.to_sec time));
-  counter_dom "manet_events_processed_total" (fun d ->
-      string_of_int d.dom_fired);
-  Printf.bprintf buf "# TYPE manet_events_per_second gauge\n";
-  Array.iteri
-    (fun i d ->
-      let prev = if i < Array.length t.prev_fired then t.prev_fired.(i) else 0
-      in
-      Printf.bprintf buf "manet_events_per_second{domain=\"%d\"} %.1f\n" i
-        (rate dt prev d.dom_fired))
-    domains;
-  gauge_dom "manet_queue_pending" (fun d -> string_of_int d.dom_pending);
-  gauge_dom "manet_calendar_buckets" (fun d ->
-      string_of_int d.dom_cal_buckets);
-  gauge_dom "manet_calendar_occupancy" (fun d ->
-      Printf.sprintf "%.3f" d.dom_cal_occupancy);
-  (match pdes with
-  | Some p ->
-      Printf.bprintf buf "# TYPE manet_pdes_windows_total counter\n";
-      Printf.bprintf buf "manet_pdes_windows_total %d\n" p.pg_windows;
-      Printf.bprintf buf "# TYPE manet_pdes_window_utilization gauge\n";
-      Printf.bprintf buf "manet_pdes_window_utilization %.4f\n"
-        p.pg_utilization;
-      Printf.bprintf buf "# TYPE manet_pdes_border_mirrors_total counter\n";
-      Printf.bprintf buf "manet_pdes_border_mirrors_total %d\n" p.pg_mirrors
-  | None -> ());
-  (match grid with
-  | Some (cells, occupied, max_occ) ->
-      Printf.bprintf buf "# TYPE manet_grid_cells gauge\n";
-      Printf.bprintf buf "manet_grid_cells %d\n" cells;
-      Printf.bprintf buf "# TYPE manet_grid_occupied_cells gauge\n";
-      Printf.bprintf buf "manet_grid_occupied_cells %d\n" occupied;
-      Printf.bprintf buf "# TYPE manet_grid_max_occupancy gauge\n";
-      Printf.bprintf buf "manet_grid_max_occupancy %d\n" max_occ
-  | None -> ());
-  let minor, promoted = gc_words pdes in
-  Printf.bprintf buf "# TYPE manet_gc_minor_words_total counter\n";
-  Printf.bprintf buf "manet_gc_minor_words_total %.0f\n" minor;
-  Printf.bprintf buf "# TYPE manet_gc_promoted_words_total counter\n";
-  Printf.bprintf buf "manet_gc_promoted_words_total %.0f\n" promoted;
+  per_domain "counter" "manet_events_processed_total" (string_of_int d.fired);
+  per_domain "gauge" "manet_events_per_second"
+    (Printf.sprintf "%.1f" (rate dt t.prev_fired d.fired));
+  per_domain "gauge" "manet_queue_pending" (string_of_int d.pending);
+  per_domain "gauge" "manet_calendar_buckets" (string_of_int d.cal_buckets);
+  per_domain "gauge" "manet_calendar_occupancy"
+    (Printf.sprintf "%.3f" d.cal_occupancy);
+  metric "gauge" "manet_grid_cells" (string_of_int cells);
+  metric "gauge" "manet_grid_occupied_cells" (string_of_int occupied);
+  metric "gauge" "manet_grid_max_occupancy" (string_of_int max_occ);
+  let q = Gc.quick_stat () in
+  metric "counter" "manet_gc_minor_words_total"
+    (Printf.sprintf "%.0f" q.Gc.minor_words);
+  metric "counter" "manet_gc_promoted_words_total"
+    (Printf.sprintf "%.0f" q.Gc.promoted_words);
   (* Atomic replace: scrapers (and the CI validator) either see the
      previous complete snapshot or this one, never a prefix. *)
   let tmp = path ^ ".tmp" in
@@ -163,19 +94,18 @@ let write_prom t path ~time ~(domains : domain array) ~pdes ~grid ~dt =
   close_out oc;
   Sys.rename tmp path
 
-let record t ~time ~domains ?pdes ?grid () =
+let record t ~time ~engine ~grid =
   let wall = Unix.gettimeofday () in
   let dt = wall -. t.prev_wall in
+  let d = sample_of_engine engine in
   (match t.jsonl with
-  | Some oc -> write_jsonl t oc ~time ~domains ~pdes ~grid ~wall ~dt
+  | Some oc -> write_jsonl t oc ~time ~d ~grid ~wall ~dt
   | None -> ());
   (match t.prom with
-  | Some path -> write_prom t path ~time ~domains ~pdes ~grid ~dt
+  | Some path -> write_prom t path ~time ~d ~grid ~dt
   | None -> ());
   t.prev_wall <- wall;
-  if Array.length t.prev_fired <> Array.length domains then
-    t.prev_fired <- Array.make (Array.length domains) 0;
-  Array.iteri (fun i d -> t.prev_fired.(i) <- d.dom_fired) domains
+  t.prev_fired <- d.fired
 
 let close t = match t.jsonl with Some oc -> close_out oc | None -> ()
 

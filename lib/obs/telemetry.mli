@@ -1,31 +1,14 @@
-(** Periodic runtime telemetry: per-domain engine gauges plus PDES and
-    GC health, written as JSONL samples and/or an atomically-replaced
-    Prometheus text-format snapshot — the exposition format the future
-    [manet_simd] service will stream.
+(** Periodic runtime telemetry: engine, spatial-index and GC gauges,
+    written as JSONL samples and/or an atomically-replaced Prometheus
+    text-format snapshot — the exposition format the future
+    [manet_simd] service will stream.  Per-engine gauges keep a
+    [domain] label (JSON: a one-element array); a run has one engine,
+    domain 0.
 
     The collector does not schedule itself: the runner drives
-    {!record} from an [Engine.every] cadence (classic runs) or the
-    PDES boundary callback (sharded runs, all shards quiesced).
-    Recording never touches the simulation — no events scheduled, no
-    RNG draws — so enabling telemetry cannot perturb outcomes. *)
-
-(** One engine's gauges, read with {!domain_of_engine}. *)
-type domain = {
-  dom_pending : int;
-  dom_fired : int;
-  dom_cal_buckets : int;
-  dom_cal_occupancy : float;
-}
-
-val domain_of_engine : Sim.Engine.t -> domain
-
-(** Coordinator-level PDES gauges (sharded runs only). *)
-type pdes_gauges = {
-  pg_windows : int;
-  pg_utilization : float;
-  pg_mirrors : int;
-  pg_worker_minor : float array;  (** live per-worker GC minor words *)
-}
+    {!record} from an [Engine.every] cadence.  Recording never touches
+    the simulation — no events scheduled, no RNG draws — so enabling
+    telemetry cannot perturb outcomes. *)
 
 type t
 
@@ -35,15 +18,13 @@ val create : ?jsonl:string -> ?prom:string -> unit -> t
     useful; with neither it is inert. *)
 
 val record :
-  t -> time:Sim.Time.t -> domains:domain array -> ?pdes:pdes_gauges ->
-  ?grid:int * int * int -> unit -> unit
+  t -> time:Sim.Time.t -> engine:Sim.Engine.t -> grid:int * int * int -> unit
 (** Take one sample at virtual time [time]: append a JSONL line and
     atomically rewrite the Prometheus snapshot (write-temp-then-rename,
-    so scrapers never see a torn file).  Event rates are computed
-    against the previous sample's wall clock and fired counts.
-    [grid] is the channel spatial index's [(cells, occupied,
-    max_occupancy)] ({!Net.Channel.index_stats}) — classic runs only;
-    a sharded run has one index per region and omits it. *)
+    so scrapers never see a torn file).  The event rate is computed
+    against the previous sample's wall clock and fired count.  [grid]
+    is the channel spatial index's [(cells, occupied, max_occupancy)]
+    ({!Net.Channel.index_stats}). *)
 
 val close : t -> unit
 (** Flush and close the JSONL stream (the snapshot file needs no

@@ -338,11 +338,6 @@ let run ?(until : Time.t option) ?max_events t =
 
 let events_processed t = t.fired
 
-let next_time_ns t =
-  match t.sched with
-  | Cal q -> Calendar_queue.next_time_ns q
-  | Ctl q -> Controlled_queue.next_time_ns q
-
 type stats = { pending : int; fired : int }
 
 let stats t =

@@ -141,24 +141,6 @@ let quantile t q =
     walk 0 0 0
   end
 
-let merge_into ~into src =
-  if into.sub_bits <> src.sub_bits then
-    invalid_arg "Hdr.merge_into: sub_bits mismatch";
-  Array.iteri
-    (fun r src_row ->
-      Array.iteri
-        (fun c n ->
-          if n <> 0 then begin
-            let row = ensure_row into r in
-            row.(c) <- row.(c) + n
-          end)
-        src_row)
-    src.rows;
-  into.total <- into.total + src.total;
-  into.sum <- into.sum + src.sum;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
-
 let iter_buckets t f =
   Array.iteri
     (fun r row ->

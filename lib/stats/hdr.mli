@@ -1,4 +1,4 @@
-(** Log-bucketed histogram with exact mergeability.
+(** Log-bucketed histogram.
 
     Values are non-negative integers (typically latencies in
     nanoseconds).  Buckets are log-linear: values below [2^sub_bits]
@@ -9,10 +9,6 @@
     scalar fields — no sorting, O(1).  Cells are kept in rows of
     [2^sub_bits], and a row is allocated the first time a value lands
     in it; every later record into that row allocates nothing.
-
-    Merging adds bucket counts elementwise, which makes [merge_into]
-    exactly associative and commutative: aggregating per-trial or
-    per-shard histograms yields bit-identical quantiles in any order.
     It backs the latency percentiles and the span-stage timings. *)
 
 type t
@@ -57,12 +53,6 @@ val highest_equivalent : t -> int -> int
 (** Largest value sharing a bucket with the argument.  The bucket
     width at value [v] is [highest_equivalent t v - lowest_equivalent
     t v + 1]. *)
-
-val merge_into : into:t -> t -> unit
-(** Add every observation of the second histogram into [into].
-    Exactly associative and commutative.
-    @raise Invalid_argument if the two histograms have different
-    [sub_bits]. *)
 
 val iter_buckets : t -> (value:int -> count:int -> unit) -> unit
 (** Visit non-empty buckets in increasing value order; [value] is the

@@ -39,28 +39,3 @@ val setup :
     packet origination time with a fresh [Data_msg.t] (unique
     (flow_id, seq), origin time stamped).  Raises [Invalid_argument]
     on a workload {!validate} rejects. *)
-
-type flow = {
-  f_id : int;
-  f_src : Node_id.t;
-  f_dst : Node_id.t;
-  f_start : Sim.Time.t;
-  f_stop : Sim.Time.t;  (** exclusive; clamped to the horizon *)
-}
-
-val plan :
-  rng:Sim.Rng.t -> num_nodes:int -> config:config -> until:Sim.Time.t ->
-  flow list
-(** Draw the whole workload up-front, replaying {!setup}'s exact RNG
-    sequence (slot starts in slot order, then restart draws in
-    stop-time order) without an engine.  The PDES runner uses this to
-    give every shard the same flows a single-engine run would have
-    drawn lazily; flows are returned in draw order. *)
-
-val arm :
-  engine:Sim.Engine.t -> config:config ->
-  emit:(src:Node_id.t -> Data_msg.t -> unit) -> flow -> unit
-(** Schedule one planned flow on [engine]: its first packet tick
-    (subsequent ticks re-arm lazily) plus a no-op marker at [f_stop]
-    standing in for {!setup}'s restart event, so event counts match the
-    classic generator's. *)

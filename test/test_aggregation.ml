@@ -236,7 +236,6 @@ let scenario ?(seed = 7) ?(duration = 30.) () =
     net = Net.Params.default;
     seed;
     audit_loops = true;
-    shards = 1;
     mobility = Experiment.Scenario.Waypoint;
     shadowing = None;
     churn = None;

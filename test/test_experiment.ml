@@ -31,7 +31,6 @@ let small_scenario ?(protocol = Scenario.ldr) ?(seed = 7) ?(audit = false)
     net = Net.Params.default;
     seed;
     audit_loops = audit;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;

@@ -1,17 +1,18 @@
 (* Golden digests, checked in under fixtures/golden/.
 
    - Write path: one small, fixed LDR scenario is run with the JSONL
-     trace, the pcap capture and the invariant monitor on, classic and
-     at four shards; the MD5 of every file it writes is pinned.  Any
-     change to the bytes a trace or capture holds shows up here,
-     whichever writer produced it.
-   - Outcomes: a corpus of six protocols x four scenario families x
-     shard counts {1, 4}; the MD5 of a canonical rendering of each
-     run's full outcome (summary, event count, MAC counters, monitor
-     verdict, every Metrics counter, byte count and drop reason) is
-     pinned.  Floats print with %h, so a one-ULP drift changes the
-     digest.  A refactor that shifts behaviour anywhere in the stack
-     shows up as a digest change. *)
+     trace, the pcap capture and the invariant monitor on; the MD5 of
+     every file it writes is pinned.  Any change to the bytes a trace
+     or capture holds shows up here, whichever writer produced it.
+   - Outcomes: a corpus of six protocols x four scenario families; the
+     MD5 of a canonical rendering of each run's full outcome (summary,
+     event count, MAC counters, monitor verdict, every Metrics counter,
+     byte count and drop reason) is pinned.  Floats print with %h, so a
+     one-ULP drift changes the digest.  A refactor that shifts
+     behaviour anywhere in the stack shows up as a digest change.
+   - Lockfile: each golden file names exactly the runs the suite
+     produces, so a line no run checks any more is flagged, not kept
+     silently. *)
 
 open Sim
 open Experiment
@@ -19,7 +20,7 @@ open Experiment
 let write_path_golden = "../fixtures/golden/write_path.md5"
 let outcomes_golden = "../fixtures/golden/outcomes.md5"
 
-let scenario ~shards =
+let scenario =
   {
     Scenario.label = "golden-write-path";
     num_nodes = 20;
@@ -41,7 +42,6 @@ let scenario ~shards =
     net = Net.Params.default;
     seed = 11;
     audit_loops = false;
-    shards;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -93,27 +93,21 @@ let check_files files =
          (name, d))
        files)
 
+let trace_name = "ldr-classic.jsonl"
+let pcap_name = "ldr-classic.pcap"
+
 let classic () =
   let trace = Filename.temp_file "golden" ".jsonl" in
   let pcap = Filename.temp_file "golden" ".pcap" in
-  let o =
-    Runner.run ~monitor:true ~trace_out:trace ~pcap_out:pcap
-      (scenario ~shards:1)
-  in
-  check_files [ ("ldr-classic.jsonl", trace); ("ldr-classic.pcap", pcap) ];
-  Alcotest.(check int) "monitor silent" 0 o.Runner.invariant_violations
-
-let sharded () =
-  let trace = Filename.temp_file "golden" ".jsonl" in
-  let o = Runner.run ~monitor:true ~trace_out:trace (scenario ~shards:4) in
-  check_files [ ("ldr-shards4.jsonl", trace) ];
+  let o = Runner.run ~monitor:true ~trace_out:trace ~pcap_out:pcap scenario in
+  check_files [ (trace_name, trace); (pcap_name, pcap) ];
   Alcotest.(check int) "monitor silent" 0 o.Runner.invariant_violations
 
 (* --- Outcome corpus --------------------------------------------------- *)
 
 (* A small world in the shape of the paper's Fig-5 point: 24 nodes on
    1200 x 300 m for 15 s, four 4-pkt/s flows, waypoint at pause 0. *)
-let world ~protocol ~shards =
+let world ~protocol =
   {
     Scenario.label = "golden-outcome";
     num_nodes = 24;
@@ -135,7 +129,6 @@ let world ~protocol ~shards =
     net = Net.Params.default;
     seed = 5;
     audit_loops = false;
-    shards;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -219,23 +212,58 @@ let render (o : Runner.outcome) =
   line "ack_bytes %d" (Metrics.ack_bytes m);
   Buffer.contents b
 
+(* The trailing "/k1" is part of every pinned name (an earlier corpus
+   varied a count there); keeping it keeps the lines unchanged. *)
+let outcome_name pname fname = Printf.sprintf "%s/%s/k1" pname fname
+
 let outcome_digests (pname, protocol, monitor) =
-  List.concat_map
+  List.map
     (fun (fname, family) ->
-      List.map
-        (fun k ->
-          let o = Runner.run ~monitor (family (world ~protocol ~shards:k)) in
-          if monitor then
-            Alcotest.(check int)
-              (Printf.sprintf "%s/%s/k%d monitor silent" pname fname k)
-              0 o.Runner.invariant_violations;
-          ( Printf.sprintf "%s/%s/k%d" pname fname k,
-            Digest.to_hex (Digest.string (render o)) ))
-        [ 1; 4 ])
+      let name = outcome_name pname fname in
+      let o = Runner.run ~monitor (family (world ~protocol)) in
+      if monitor then
+        Alcotest.(check int)
+          (name ^ " monitor silent")
+          0 o.Runner.invariant_violations;
+      (name, Digest.to_hex (Digest.string (render o))))
     families
 
 let outcomes proto () =
   check_digests ~golden:outcomes_golden (outcome_digests proto)
+
+(* --- Lockfile names ----------------------------------------------------- *)
+
+(* A golden file must name each run the suite checks exactly once, and
+   nothing else: [check_digests] only looks up produced names, so a
+   line no run produces would otherwise sit there unchecked. *)
+let check_names ~golden produced =
+  let held = List.map fst (load_golden golden) in
+  let produced = List.sort_uniq String.compare produced in
+  let stale = List.filter (fun n -> not (List.mem n produced)) held in
+  let missing = List.filter (fun n -> not (List.mem n held)) produced in
+  let dup =
+    List.filter
+      (fun n -> List.length (List.filter (String.equal n) held) > 1)
+      produced
+  in
+  let show what names =
+    List.map (fun n -> Printf.sprintf "  %s: %s" what n) names
+  in
+  if stale <> [] || missing <> [] || dup <> [] then
+    Alcotest.failf "%s does not name exactly the runs the suite checks:\n%s"
+      golden
+      (String.concat "\n"
+         (show "stale (no run produces it)" stale
+         @ show "missing" missing
+         @ show "duplicated" dup))
+
+let lockfile_names () =
+  check_names ~golden:write_path_golden [ trace_name; pcap_name ];
+  check_names ~golden:outcomes_golden
+    (List.concat_map
+       (fun (pname, _, _) ->
+         List.map (fun (fname, _) -> outcome_name pname fname) families)
+       protocols)
 
 let () =
   Alcotest.run "golden"
@@ -243,11 +271,12 @@ let () =
       ( "write path",
         [
           Alcotest.test_case "classic trace and pcap" `Quick classic;
-          Alcotest.test_case "merged trace at 4 shards" `Quick sharded;
         ] );
       ( "outcomes",
         List.map
           (fun ((name, _, _) as p) ->
             Alcotest.test_case name `Quick (outcomes p))
           protocols );
+      ( "lockfile",
+        [ Alcotest.test_case "names match the runs" `Quick lockfile_names ] );
     ]

@@ -216,9 +216,8 @@ let rpgm_members_cohere () =
   done
 
 let rpgm_out_of_order_members () =
-  (* Two members of one group queried at different times (the PDES
-     access pattern): the shared centre's legs are memoized, so neither
-     query perturbs the other. *)
+  (* Two members of one group queried at different times: the shared
+     centre's legs are memoized, so neither query perturbs the other. *)
   let rng = Rng.create 32 in
   let g =
     Mobility.rpgm_group ~terrain ~rng ~speed_min:5. ~speed_max:10.

@@ -32,7 +32,6 @@ let scenario ?(seed = 7) ?(speed_max = 0.) ?(duration = 20.) ?(flows = 2)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    shards = 1;
     mobility = Scenario.Waypoint;
     shadowing = None;
     churn = None;
@@ -294,30 +293,6 @@ let sinks_closed_on_raise () =
   Sys.remove trace;
   Sys.remove pcap
 
-(* The same on a sharded run: each region's trace file is closed, and
-   readable, when a boundary callback raises. *)
-let shard_sinks_closed_on_raise () =
-  let trace = Filename.temp_file "obs_raise_pdes" ".jsonl" in
-  let shards = 2 in
-  (match
-     Runner.run ~trace_out:trace
-       ~prepare_pdes:(fun p ->
-         p.Runner.p_request_injection ~at:(Time.sec 1.) (fun () -> raise Boom))
-       { (scenario ()) with Scenario.shards }
-   with
-  | _ -> Alcotest.fail "the raising callback did not propagate"
-  | exception Boom -> ());
-  let total = ref 0 in
-  for r = 0 to shards - 1 do
-    let path = Printf.sprintf "%s.shard%d" trace r in
-    (match Obs.Reader.load path with
-    | Error e -> Alcotest.fail e
-    | Ok t -> total := !total + Obs.Reader.length t);
-    Sys.remove path
-  done;
-  checkb "regions traced up to the failure" true (!total > 0);
-  Sys.remove trace
-
 (* The sampler emits one line per interval with valid flat JSON. *)
 let sampler_emits () =
   let sample_file = Filename.temp_file "obs_sample" ".jsonl" in
@@ -356,8 +331,6 @@ let () =
           QCheck_alcotest.to_alcotest jsonl_matches_printf;
           Alcotest.test_case "sinks closed on raise" `Quick
             sinks_closed_on_raise;
-          Alcotest.test_case "shard sinks closed on raise" `Quick
-            shard_sinks_closed_on_raise;
         ] );
       ( "monitor",
         [

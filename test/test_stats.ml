@@ -152,58 +152,6 @@ let hdr_vs_sorted_prop =
       && approx <= Hdr.highest_equivalent h exact
       && Hdr.lowest_equivalent h approx <= exact)
 
-let hdr_of_list xs =
-  let h = Hdr.create () in
-  List.iter (Hdr.add h) xs;
-  h
-
-let hdr_equal a b =
-  Hdr.count a = Hdr.count b && Hdr.sum a = Hdr.sum b
-  && Hdr.min_value a = Hdr.min_value b
-  && Hdr.max_value a = Hdr.max_value b
-  &&
-  let buckets h =
-    let acc = ref [] in
-    Hdr.iter_buckets h (fun ~value ~count -> acc := (value, count) :: !acc);
-    !acc
-  in
-  buckets a = buckets b
-
-(* Merge is exactly the histogram of the concatenation, whichever way
-   the parts are associated or ordered — the property Metrics relies on
-   to merge PDES shards without replay. *)
-let hdr_merge_assoc_prop =
-  QCheck.Test.make ~count:100 ~name:"hdr merge associative/commutative"
-    QCheck.(
-      triple
-        (list_of_size Gen.(0 -- 100) (int_bound 10_000_000))
-        (list_of_size Gen.(0 -- 100) (int_bound 10_000_000))
-        (list_of_size Gen.(0 -- 100) (int_bound 10_000_000)))
-    (fun (xs, ys, zs) ->
-      let whole = hdr_of_list (xs @ ys @ zs) in
-      (* (x <- y) <- z *)
-      let left = hdr_of_list xs in
-      Hdr.merge_into ~into:left (hdr_of_list ys);
-      Hdr.merge_into ~into:left (hdr_of_list zs);
-      (* x <- (y <- z) *)
-      let yz = hdr_of_list ys in
-      Hdr.merge_into ~into:yz (hdr_of_list zs);
-      let right = hdr_of_list xs in
-      Hdr.merge_into ~into:right yz;
-      (* z <- y <- x: commuted order *)
-      let comm = hdr_of_list zs in
-      Hdr.merge_into ~into:comm (hdr_of_list ys);
-      Hdr.merge_into ~into:comm (hdr_of_list xs);
-      hdr_equal whole left && hdr_equal left right && hdr_equal right comm)
-
-let hdr_merge_mismatch () =
-  let a = Hdr.create ~sub_bits:7 () in
-  let b = Hdr.create ~sub_bits:8 () in
-  Alcotest.check_raises "sub_bits mismatch"
-    (Invalid_argument "Hdr.merge_into: sub_bits mismatch") (fun () ->
-      Hdr.merge_into ~into:a b)
-
-
 (* The flat-array histogram Hdr used to be — one (63 - p) * 2^p array,
    allocated whole at create — kept as the oracle for the row layout. *)
 module Flat_hdr = struct
@@ -286,13 +234,6 @@ module Flat_hdr = struct
       walk 0 0
     end
 
-  let merge_into ~into src =
-    Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-    into.total <- into.total + src.total;
-    into.sum <- into.sum + src.sum;
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
-
   let buckets t =
     let acc = ref [] in
     Array.iteri
@@ -302,7 +243,7 @@ module Flat_hdr = struct
     List.rev !acc
 end
 
-type hdr_op = Add of bool * int | Merge of bool | Clear of bool
+type hdr_op = Add of bool * int | Clear of bool
 
 (* Values over every magnitude: 0, negatives (clamped), the linear
    region, each power-of-two range, and the top of the int range. *)
@@ -321,13 +262,11 @@ let hdr_op_gen =
     frequency
       [
         (8, map2 (fun a v -> Add (a, v)) bool hdr_value_gen);
-        (1, map (fun a -> Merge a) bool);
         (1, map (fun a -> Clear a) bool);
       ])
 
 let print_hdr_op = function
   | Add (a, v) -> Printf.sprintf "add %c %d" (if a then 'A' else 'B') v
-  | Merge a -> if a then "merge B into A" else "merge A into B"
   | Clear a -> Printf.sprintf "clear %c" (if a then 'A' else 'B')
 
 (* Two histograms and their flat twins run the same random ops; every
@@ -350,12 +289,6 @@ let hdr_matches_flat_prop =
               let h, f = pick x (a, fa) (b, fb) in
               Hdr.add h v;
               Flat_hdr.add f v
-          | Merge x ->
-              let (h, f), (h', f') =
-                if x then ((a, fa), (b, fb)) else ((b, fb), (a, fa))
-              in
-              Hdr.merge_into ~into:h h';
-              Flat_hdr.merge_into ~into:f f'
           | Clear x ->
               let h, f = pick x (a, fa) (b, fb) in
               Hdr.clear h;
@@ -422,9 +355,7 @@ let () =
           Alcotest.test_case "exact small" `Quick hdr_exact_small;
           Alcotest.test_case "empty and bounds" `Quick hdr_empty_and_bounds;
           Alcotest.test_case "extremes clamped" `Quick hdr_extremes_clamped;
-          Alcotest.test_case "merge mismatch" `Quick hdr_merge_mismatch;
           qt hdr_vs_sorted_prop;
-          qt hdr_merge_assoc_prop;
           qt hdr_matches_flat_prop;
         ] );
       ( "table",

@@ -128,10 +128,6 @@ let rejects_bad_rates () =
       let name what = Printf.sprintf "%s rejects pps %g" what pps in
       checkb (name "validate") true
         (rejected (fun () -> Traffic.validate ~num_nodes:20 config));
-      checkb (name "plan") true
-        (rejected (fun () ->
-             Traffic.plan ~rng:(Rng.create 1) ~num_nodes:20 ~config
-               ~until:(Time.sec 5.)));
       checkb (name "setup") true
         (rejected (fun () ->
              Traffic.setup ~engine:(Engine.create ()) ~rng:(Rng.create 1)

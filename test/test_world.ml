@@ -16,8 +16,8 @@ open Packets
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(shards = 1)
-    ?(mobility = Scenario.Waypoint) ?shadowing ?churn ?partition
+let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(mobility = Scenario.Waypoint)
+    ?shadowing ?churn ?partition
     ?(duration = 15.) () =
   {
     Scenario.label = "world";
@@ -40,7 +40,6 @@ let fig5 ?(protocol = Scenario.ldr) ?(seed = 5) ?(shards = 1)
     net = Net.Params.default;
     seed;
     audit_loops = false;
-    shards;
     mobility;
     shadowing;
     churn;
@@ -94,7 +93,7 @@ let test_partition_heal () =
     o.Runner.invariant_violations;
   checkb "still delivered" true (Metrics.delivered o.Runner.metrics > 0)
 
-(* --- churn: monitor silent, origination parity ----------------------- *)
+(* --- churn: monitor silent ---------------------------------------------- *)
 
 let churn_cfg =
   {
@@ -111,18 +110,6 @@ let test_churn_monitor_silent () =
   checki "monitor silent across churn" 0 o.Runner.invariant_violations;
   checkb "churned run still delivers" true
     (Metrics.delivered o.Runner.metrics > 0)
-
-let test_churn_sharded_parity () =
-  (* Down nodes originate nothing; the gate is an exact-virtual-time
-     schedule, so the classic and sharded runs skip exactly the same
-     originations even though border-crossing latency perturbs the
-     rest. *)
-  let o1 = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ()) in
-  let o4 = Runner.run ~monitor:true (fig5 ~churn:churn_cfg ~shards:4 ()) in
-  checki "sharded monitor silent" 0 o4.Runner.invariant_violations;
-  checki "originated parity K=1 vs K=4"
-    (Metrics.originated o1.Runner.metrics)
-    (Metrics.originated o4.Runner.metrics)
 
 (* --- crashed-destination edge cases --------------------------------- *)
 
@@ -247,8 +234,6 @@ let () =
       ( "churn",
         [
           Alcotest.test_case "monitor silent" `Quick test_churn_monitor_silent;
-          Alcotest.test_case "sharded origination parity" `Quick
-            test_churn_sharded_parity;
           Alcotest.test_case "crashed destination" `Quick
             test_crashed_destination;
           Alcotest.test_case "crash clears successors" `Quick
