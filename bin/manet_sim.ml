@@ -253,7 +253,8 @@ type world_opts = {
   w_mobility : Scenario.mobility;
   w_shadowing : Scenario.shadowing option;
   w_churn : Scenario.churn option;
-  w_partition : Scenario.partition option;
+  w_partition : (float * float) option;
+      (** seconds, converted with the other times in {!scenario} *)
 }
 
 let world_term =
@@ -268,15 +269,7 @@ let world_term =
         Option.map
           (fun churn_frac -> { Scenario.default_churn with churn_frac })
           churn;
-      w_partition =
-        Option.map
-          (fun (t1, t2) ->
-            {
-              Scenario.part_at = Time.sec t1;
-              part_heal = Time.sec t2;
-              part_x_frac = 0.5;
-            })
-          partition;
+      w_partition = partition;
     }
   in
   Term.(const make $ mobility $ shadow $ churn $ partition)
@@ -307,6 +300,16 @@ let default_world =
     w_partition = None;
   }
 
+(* [Time.sec] naming the option it rejects. *)
+let seconds name x =
+  try Time.sec x with Invalid_argument msg -> invalid_arg (name ^ ": " ^ msg)
+
+(* A sampling interval: a time that must also be at least 1 ns. *)
+let interval name dt =
+  let t = seconds name dt in
+  if Time.(t <= zero) then invalid_arg (name ^ ": interval must be positive");
+  t
+
 let scenario ?(world = default_world) protocol nodes width height
     flows pps pause speed_max duration seed audit =
   {
@@ -316,8 +319,8 @@ let scenario ?(world = default_world) protocol nodes width height
     placement = Scenario.Uniform;
     speed_min = (if speed_max > 0. then 1. else 0.);
     speed_max;
-    pause = Time.sec pause;
-    duration = Time.sec duration;
+    pause = seconds "--pause" pause;
+    duration = seconds "--duration" duration;
     traffic =
       {
         Traffic.num_flows = flows;
@@ -333,13 +336,22 @@ let scenario ?(world = default_world) protocol nodes width height
     mobility = world.w_mobility;
     shadowing = world.w_shadowing;
     churn = world.w_churn;
-    partition = world.w_partition;
+    partition =
+      Option.map
+        (fun (t1, t2) ->
+          {
+            Scenario.part_at = seconds "--partition" t1;
+            part_heal = seconds "--partition" t2;
+            part_x_frac = 0.5;
+          })
+        world.w_partition;
   }
 
 (* Build what the command will run, turning a scenario the simulator
    rejects ([Invalid_argument]: too few nodes, a bad packet rate, a
-   negative duration, ...) into a usage error instead of an uncaught
-   exception. *)
+   negative or non-finite time, ...) into a usage error instead of an
+   uncaught exception.  Every option is converted here, before any
+   output file is opened. *)
 let validated build k =
   match build () with
   | exception Invalid_argument msg -> `Error (true, msg)
@@ -459,8 +471,11 @@ let run_cmd =
             speed_max duration seed audit
         in
         Traffic.validate ~num_nodes:sc.num_nodes sc.traffic;
-        sc)
-    @@ fun sc ->
+        ( sc,
+          Option.map (interval "--sample") sample,
+          interval "--telemetry-every" telemetry_every,
+          Option.map (seconds "--inject-stale") inject_stale ))
+    @@ fun (sc, sample, telemetry_every, inject_stale) ->
     if not json then
       Format.printf
         "%s: %d nodes on %.0fx%.0fm, %d flows @ %g pps, pause %gs, %gs@."
@@ -468,14 +483,12 @@ let run_cmd =
         nodes width height flows pps pause duration;
     let prepare =
       Option.map
-        (fun t sim -> ignore (Fault.stale_seqno sim ~at:(Time.sec t)))
+        (fun at sim -> ignore (Fault.stale_seqno sim ~at))
         inject_stale
     in
     let outcome =
-      Runner.run ~monitor ?trace_out ?pcap_out
-        ?sample:(Option.map Time.sec sample)
-        ~sample_out ?telemetry_out ?telemetry_prom
-        ~telemetry_every:(Time.sec telemetry_every) ?prepare sc
+      Runner.run ~monitor ?trace_out ?pcap_out ?sample ~sample_out
+        ?telemetry_out ?telemetry_prom ~telemetry_every ?prepare sc
     in
     if json then print_outcome_json outcome else print_outcome outcome
   in
@@ -505,7 +518,7 @@ let sweep_cmd =
         let points =
           List.map
             (fun pause ->
-              let pause = Time.sec pause in
+              let pause = seconds "--pauses" pause in
               fun (sc : Scenario.t) -> { sc with Scenario.pause })
             pauses
         in

@@ -6,8 +6,14 @@ let ns n =
   if Int64.compare n 0L < 0 then invalid_arg "Time.ns: negative";
   Int64.to_int n
 
-let of_float_ns x =
-  if x < 0. then invalid_arg "Time: negative duration";
+let out_of_range () =
+  invalid_arg "Time: duration must be finite, non-negative and below 2^62 ns"
+
+(* [int_of_float] is unspecified outside the int range and on NaN, so
+   anything outside [0, 2^62) is refused rather than wrapped.  Inlined
+   so that [sec]/[ms]/[us] callers do not box their float argument. *)
+let[@inline] of_float_ns x =
+  if not (x >= 0. && x < 0x1p62) then out_of_range ();
   int_of_float (Float.round x)
 
 let us x = of_float_ns (x *. 1e3)
@@ -35,7 +41,7 @@ let div t k =
   t / k
 
 let scale t x =
-  if x < 0. then invalid_arg "Time.scale: negative factor";
+  if not (x >= 0.) then invalid_arg "Time.scale: negative or NaN factor";
   of_float_ns (float_of_int t *. x)
 
 let compare = Int.compare

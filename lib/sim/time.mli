@@ -16,7 +16,10 @@ val ns : int64 -> t
 (** [ns n] is [n] nanoseconds.  Raises [Invalid_argument] if [n < 0]. *)
 
 val us : float -> t
-(** [us x] is [x] microseconds, rounded to the nearest nanosecond. *)
+(** [us x] is [x] microseconds, rounded to the nearest nanosecond.
+    Like {!ms}, {!sec} and {!scale}, raises [Invalid_argument] unless
+    the nanosecond count is in [\[0, 2^62)]: NaN, infinities and
+    negative or huge values never become a time. *)
 
 val ms : float -> t
 (** [ms x] is [x] milliseconds, rounded to the nearest nanosecond. *)
@@ -42,7 +45,8 @@ val mul : t -> int -> t
 val div : t -> int -> t
 
 val scale : t -> float -> t
-(** [scale t x] is [t] multiplied by the non-negative factor [x]. *)
+(** [scale t x] is [t] multiplied by the non-negative factor [x], rounded
+    to the nearest nanosecond. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

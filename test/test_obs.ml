@@ -58,22 +58,31 @@ let seqnum_pack_order () =
       checkb "compare agrees" true Seqnum.(hi > lo))
     cases
 
-(* The null-sink differential: attaching a sink that does nothing must
-   not change the simulation at all — emission touches no RNG and no
-   scheduling. *)
+(* The null-sink differential: attaching a sink that does nothing, or
+   the JSONL writer streaming every event to disk, must not change the
+   simulation at all — emission touches no RNG and no scheduling. *)
 let null_sink_differential () =
   let plain = Runner.run (scenario ()) in
   let counted = ref 0 in
   let bus = Obs.Bus.create () in
   Obs.Bus.add_sink bus (fun _ -> incr counted);
   let sunk = Runner.run ~obs:bus (scenario ()) in
-  checki "events processed equal" plain.Runner.events_processed
-    sunk.Runner.events_processed;
-  checki "transmissions equal" plain.Runner.transmissions
-    sunk.Runner.transmissions;
-  checki "delivered equal"
-    (Metrics.delivered plain.Runner.metrics)
-    (Metrics.delivered sunk.Runner.metrics);
+  let trace_file = Filename.temp_file "obs_null" ".jsonl" in
+  let traced =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove trace_file)
+      (fun () -> Runner.run ~trace_out:trace_file (scenario ()))
+  in
+  List.iter
+    (fun (name, o) ->
+      checki (name ^ ": events processed equal")
+        plain.Runner.events_processed o.Runner.events_processed;
+      checki (name ^ ": transmissions equal") plain.Runner.transmissions
+        o.Runner.transmissions;
+      checki (name ^ ": delivered equal")
+        (Metrics.delivered plain.Runner.metrics)
+        (Metrics.delivered o.Runner.metrics))
+    [ ("null sink", sunk); ("jsonl", traced) ];
   checkb "bus saw events" true (!counted > 100)
 
 (* A healthy LDR run must never trip the monitor (Theorem 1). *)

@@ -134,38 +134,44 @@ let point_digest (p : Sweep.point) =
       p.Sweep.mean_dest_seqno;
     ]
 
-(* The satellite spec: a 3-point, 5-seed sweep, audit-loops on, at
-   jobs=1 and jobs=N.  Per-seed outcomes and per-point aggregates must
-   be exactly equal — [=] on every digest. *)
+(* A 3-point, 5-seed sweep, audit-loops on, at jobs=1 and at jobs 2,
+   N and 8 (N = [MANET_TEST_JOBS]).  Per-seed outcomes and per-point
+   aggregates must be exactly equal at every fan-out — [=] on every
+   digest. *)
 let differential_sweep () =
   let sc = small_scenario ~audit:true () in
   let n = 5 in
-  (* Per-seed outcomes, single point. *)
-  let seq = Sweep.trial_outcomes ~jobs:1 sc ~n in
-  let par = Sweep.trial_outcomes ~jobs:test_jobs sc ~n in
-  checki "trial count" n (Array.length par);
-  for i = 0 to n - 1 do
-    checkb
-      (Printf.sprintf "seed %d outcome identical" (sc.Scenario.seed + i))
-      true
-      (Stdlib.compare (outcome_digest seq.(i)) (outcome_digest par.(i)) = 0)
-  done;
-  (* Full 3-point matrix through Sweep.run. *)
   let points =
     List.map
       (fun pause (s : Scenario.t) -> { s with pause = Time.sec pause })
       [ 0.; 3.; 10. ]
   in
+  let seq = Sweep.trial_outcomes ~jobs:1 sc ~n in
   let seq_pts = Sweep.run ~jobs:1 sc ~points ~trials:n in
-  let par_pts = Sweep.run ~jobs:test_jobs sc ~points ~trials:n in
-  checki "three points" 3 (List.length par_pts);
-  List.iteri
-    (fun i (a, b) ->
-      checkb
-        (Printf.sprintf "point %d aggregates identical" i)
-        true
-        (point_digest a = point_digest b))
-    (List.combine seq_pts par_pts);
+  List.iter
+    (fun jobs ->
+      (* Per-seed outcomes, single point. *)
+      let par = Sweep.trial_outcomes ~jobs sc ~n in
+      checki "trial count" n (Array.length par);
+      for i = 0 to n - 1 do
+        checkb
+          (Printf.sprintf "jobs %d: seed %d outcome identical" jobs
+             (sc.Scenario.seed + i))
+          true
+          (Stdlib.compare (outcome_digest seq.(i)) (outcome_digest par.(i))
+          = 0)
+      done;
+      (* Full 3-point matrix through Sweep.run. *)
+      let par_pts = Sweep.run ~jobs sc ~points ~trials:n in
+      checki "three points" 3 (List.length par_pts);
+      List.iteri
+        (fun i (a, b) ->
+          checkb
+            (Printf.sprintf "jobs %d: point %d aggregates identical" jobs i)
+            true
+            (point_digest a = point_digest b))
+        (List.combine seq_pts par_pts))
+    (List.sort_uniq compare [ 2; test_jobs; 8 ]);
   (* And the sequential matrix path agrees with the historical
      per-point trials loop. *)
   let legacy =

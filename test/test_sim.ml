@@ -47,6 +47,39 @@ let time_pp () =
   check Alcotest.string "ms" "2.000ms" (Time.to_string (Time.ms 2.));
   check Alcotest.string "s" "3.000s" (Time.to_string (Time.sec 3.))
 
+(* [Time.scale one_ns x] is the float-to-time conversion behind
+   [us]/[ms]/[sec] applied to [x] nanoseconds exactly.  In range it is
+   round-then-truncate; outside [0, 2^62) -- NaN, infinities,
+   negatives, 2^62 and above -- it raises instead of returning whatever
+   [int_of_float] makes of the value. *)
+let one_ns = Time.ns 1L
+
+let of_float_ns_in_range =
+  QCheck.Test.make ~name:"of_float_ns rounds in range" ~count:500
+    QCheck.(
+      oneof
+        [
+          float_bound_exclusive 0x1p62;
+          float_bound_exclusive 1e12;
+          float_bound_exclusive 10.;
+          oneofl [ 0.; 0.5; 1.5; Float.pred 0x1p62 ];
+        ])
+    (fun x -> (Time.scale one_ns x :> int) = int_of_float (Float.round x))
+
+let of_float_ns_out_of_range =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  QCheck.Test.make ~name:"of_float_ns rejects out of range" ~count:500
+    QCheck.(
+      oneof
+        [
+          oneofl [ nan; infinity; neg_infinity; -1e-300; -1.; 0x1p62 ];
+          map (fun x -> -.(x +. Float.min_float)) pos_float;
+          map (fun x -> 0x1p62 *. (1. +. x)) pos_float;
+        ])
+    (fun x -> raises (fun () -> Time.scale one_ns x))
+
 (* ---- Rng ------------------------------------------------------------ *)
 
 let rng_deterministic () =
@@ -487,6 +520,8 @@ let () =
           Alcotest.test_case "invalid" `Quick time_invalid;
           Alcotest.test_case "compare" `Quick time_compare;
           Alcotest.test_case "pp" `Quick time_pp;
+          qt of_float_ns_in_range;
+          qt of_float_ns_out_of_range;
         ] );
       ( "rng",
         [
